@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import click
@@ -367,12 +365,7 @@ def bench(
         cfg = _bench_instance(config)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    workers = max(1, int(os.environ.get("TORUS_STAB_THREADS", "1")))
-    if workers == 1:
-        records = [_run_trial(config, cfg, t) for t in range(trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda t: _run_trial(config, cfg, t), range(trials)))
+    records = [_run_trial(config, cfg, t) for t in range(trials)]
     emit_csv(records, out)
     rejected = sum(r.decision == "reject" for r in records)
     click.echo(f"{trials} trials, reject rate {rejected / trials:.3f}", err=True)

@@ -48,10 +48,10 @@ class QueryOracle:
         self._all = False
 
     def read(self, cell: Cell) -> int:
-        cell = (cell[0] % self.m, cell[1] % self.n)
+        i, j = cell[0] % self.m, cell[1] % self.n
         if not self._all:
-            self._seen.add(cell)
-        return self.cfg[cell]
+            self._seen.add((i, j))
+        return self.cfg.a.item(i, j)
 
     def read_all(self) -> TorusConfig:
         """Read every cell at once (used by the small-torus fallback);
@@ -295,6 +295,59 @@ def is_violating_pair(
     return False
 
 
+def _first_violating_pair(
+    classified: list[tuple[Cell, WraparoundFlags]],
+) -> Optional[tuple[int, int]]:
+    """The first (i, j), i < j, in lexicographic order whose entries of
+    ``classified`` form a violating pair, or None; O(len(classified)).
+
+    This is the pair a nested ``i < j`` loop over ``is_violating_pair``
+    returns.  Entries at equal cells must carry equal flags, as they do when
+    all flags are classified on one configuration.  The scan runs from last
+    to first; each bucket holds its smallest later index, that entry's key,
+    and the smallest later index whose key differs from that one:
+    - clauses 1-2: a bucket per row (column) index, keyed by the (even, odd)
+      row (column) flags; differing flags imply one side is flagged and, by
+      the precondition, that the cells differ;
+    - clause 3: a bucket of all row_any and one of all col_any entries,
+      keyed by cell, since a cell never pairs with itself.
+    """
+    later: dict = {}
+
+    def partner(bucket, key) -> Optional[int]:
+        """Smallest later index in the bucket whose key is not ``key``."""
+        got = later.get(bucket)
+        if got is None:
+            return None
+        return got[0] if got[1] != key else got[2]
+
+    def push(bucket, i: int, key) -> None:
+        got = later.get(bucket)
+        other = None if got is None else got[2] if got[1] == key else got[0]
+        later[bucket] = (i, key, other)
+
+    best = None
+    for i in range(len(classified) - 1, -1, -1):
+        cell, f = classified[i]
+        row = (f.row_even, f.row_odd)
+        col = (f.col_even, f.col_odd)
+        found = [partner(("row", cell[0]), row), partner(("col", cell[1]), col)]
+        if f.row_any:
+            found.append(partner("col_any", cell))
+        if f.col_any:
+            found.append(partner("row_any", cell))
+        found = [j for j in found if j is not None]
+        if found:
+            best = (i, min(found))
+        push(("row", cell[0]), i, row)
+        push(("col", cell[1]), i, col)
+        if f.row_any:
+            push("row_any", i, cell)
+        if f.col_any:
+            push("col_any", i, cell)
+    return best
+
+
 def _is_mono_cell(view: RectView, cell: Cell) -> bool:
     if view.read(cell) != 1:
         return False
@@ -478,7 +531,10 @@ def run_tester(oracle: QueryOracle, params: TesterParams) -> TesterResult:
     """The sublinear Threshold-2 stability tester.
 
     Step 1 hunts for unstable cells and wraparound violating pairs along
-    sampled rows and columns.  Step 2 samples cells, finds each sampled
+    sampled rows and columns.  It classifies S = 2 a_rows a_cells
+    ceil(1/eps)^2 cells, pairs their wraparound flags in O(S) and reports
+    the first violating pair in sampling order (smallest first index, then
+    smallest second).  Step 2 samples cells, finds each sampled
     monochromatic/chessboard cell's bounding box in sigma# and checks for
     perimeter and interior violations.  When the torus is too small for the
     box machinery (min(m, n) < 3k) the whole configuration is read instead
@@ -510,13 +566,13 @@ def run_tester(oracle: QueryOracle, params: TesterParams) -> TesterResult:
                 report = ViolationReport("unstable-cell", [cell], step="step1")
                 return TesterResult(False, report, oracle.queries)
             classified.append((cell, classify_wraparound(oracle, cell)))
-    for i in range(len(classified)):
-        for j in range(i + 1, len(classified)):
-            c1, f1 = classified[i]
-            c2, f2 = classified[j]
-            if is_violating_pair(c1, f1, c2, f2):
-                report = ViolationReport("wraparound-pair", [c1, c2], step="step1")
-                return TesterResult(False, report, oracle.queries)
+    pair = _first_violating_pair(classified)
+    if pair is not None:
+        (c1, f1), (c2, f2) = classified[pair[0]], classified[pair[1]]
+        if not is_violating_pair(c1, f1, c2, f2):
+            raise RuntimeError(f"bucketed pair search returned a non-violating pair {pair}")
+        report = ViolationReport("wraparound-pair", [c1, c2], step="step1")
+        return TesterResult(False, report, oracle.queries)
 
     # Step 2: interior and perimeter violations in sigma#.
     view = RectView(oracle, k)

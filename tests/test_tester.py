@@ -6,11 +6,15 @@ that re-checks against the configuration directly).  The query accounting is
 verified against the computable cap, which depends on eps but not on m or n.
 """
 
+import itertools
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from torustab import THR2, TorusConfig, is_stable
-from torustab.generators import GenSpec, gen_hard_thr2, gen_stable_thr2
+from torustab.generators import GenSpec, gen_hard_thr2, gen_stable_thr2, perturb
 from torustab.grid import is_cell_stable, moore, neighborhood
 from torustab.stabilizer import ConfigView, rectangulate_exempt
 from torustab.structure import mono_components
@@ -18,6 +22,8 @@ from torustab.tester import (
     QueryOracle,
     RectView,
     TesterParams as TParams,
+    WraparoundFlags,
+    _first_violating_pair,
     classify_wraparound,
     classify_plus_kind,
     cross_region,
@@ -89,6 +95,44 @@ class TestQueryOracle:
         assert oracle.queries == 1
         oracle.read((0, 3))
         assert oracle.queries == 2
+
+    def test_negative_coordinates_wrap(self):
+        a = np.zeros((5, 7), np.uint8)
+        a[4, 6] = 1
+        a[2, 0] = 1
+        oracle = QueryOracle(TorusConfig(a))
+        assert oracle.read((-1, -1)) == 1
+        assert oracle.read((-3, -7)) == 1
+        assert oracle.read((-6, 13)) == 1  # (4, 6) again
+        assert oracle.read((-5, -7)) == 0  # (0, 0)
+        assert oracle.queries == 3
+
+    def test_values_match_config(self):
+        rng = np.random.default_rng(44)
+        cfg = TorusConfig((rng.random((9, 13)) < 0.5).astype(np.uint8))
+        oracle = QueryOracle(cfg)
+        for i, j in zip(rng.integers(-30, 30, 500), rng.integers(-30, 30, 500)):
+            cell = (int(i), int(j))
+            got = oracle.read(cell)
+            assert type(got) is int and got == cfg[cell]
+
+    def test_read_all_counts_every_cell(self):
+        oracle = QueryOracle(TorusConfig.zeros(6, 11))
+        oracle.read((2, 3))
+        assert oracle.read_all() is oracle.cfg
+        assert oracle.queries == 66
+        oracle.read((4, 4))
+        assert oracle.queries == 66
+
+    def test_queries_count_distinct_cells(self):
+        rng = np.random.default_rng(45)
+        m, n = 7, 8
+        oracle = QueryOracle(TorusConfig.zeros(m, n))
+        seen = set()
+        for i, j in zip(rng.integers(-20, 20, 300), rng.integers(-20, 20, 300)):
+            oracle.read((int(i), int(j)))
+            seen.add((int(i) % m, int(j) % n))
+            assert oracle.queries == len(seen)
 
 
 class TestRectangulation:
@@ -208,6 +252,76 @@ class TestViolatingPair:
 
         f = WraparoundFlags(row_even=True)
         assert not is_violating_pair((2, 0), f, (2, 4), f)
+
+
+def nested_first_pair(classified):
+    """Reference: the first violating pair of the quadratic i < j scan."""
+    for i in range(len(classified)):
+        for j in range(i + 1, len(classified)):
+            (c1, f1), (c2, f2) = classified[i], classified[j]
+            if is_violating_pair(c1, f1, c2, f2):
+                return (i, j)
+    return None
+
+
+ALL_FLAGS = [WraparoundFlags(*bits) for bits in itertools.product((False, True), repeat=4)]
+
+
+class TestFirstViolatingPair:
+    def random_flag_list(self, rng):
+        # Few distinct rows and columns force duplicate cells and shared
+        # lines; flags are drawn once per cell, as classification is a
+        # function of the cell.  Half the cells are unflagged or carry a
+        # single flag so that lists without any pair are common too.
+        size = int(rng.integers(0, 17))
+        side = int(rng.integers(1, 6))
+        flags = {}
+        out = []
+        for _ in range(size):
+            cell = (int(rng.integers(side)), int(rng.integers(side)))
+            if cell not in flags:
+                sparse = ALL_FLAGS[int(rng.choice([0, 0, 0, 1, 2, 4, 8, 3, 12]))]
+                flags[cell] = sparse if rng.random() < 0.5 else ALL_FLAGS[int(rng.integers(16))]
+            out.append((cell, flags[cell]))
+        return out
+
+    def test_matches_nested_loop(self):
+        rng = np.random.default_rng(46)
+        found = sizes = 0
+        for _ in range(5000):
+            classified = self.random_flag_list(rng)
+            want = nested_first_pair(classified)
+            assert _first_violating_pair(classified) == want, classified
+            found += want is not None
+            sizes += len(classified) == 16
+        assert 1000 < found < 4000 and sizes > 100
+
+    def test_empty_and_single(self):
+        assert _first_violating_pair([]) is None
+        assert _first_violating_pair([((0, 0), ALL_FLAGS[15])]) is None
+
+    def test_cell_never_pairs_with_itself(self):
+        both = WraparoundFlags(row_even=True, col_odd=True)
+        classified = [((1, 2), both), ((1, 2), both), ((1, 2), both)]
+        assert _first_violating_pair(classified) is None
+        classified.append(((3, 3), WraparoundFlags(row_odd=True)))
+        assert _first_violating_pair(classified) == (0, 3)
+
+    def test_smallest_first_index_wins(self):
+        row = WraparoundFlags(row_even=True)
+        col = WraparoundFlags(col_even=True)
+        none = WraparoundFlags()
+        # (1, 4) cross-pairs, and (0, 5) mismatch in row 0; i = 0 comes first.
+        classified = [
+            ((0, 1), none),
+            ((2, 2), row),
+            ((3, 3), none),
+            ((4, 4), none),
+            ((5, 5), col),
+            ((0, 6), WraparoundFlags(row_odd=True)),
+        ]
+        assert _first_violating_pair(classified) == (0, 5)
+        assert nested_first_pair(classified) == (0, 5)
 
 
 class TestCrossRegion:
@@ -373,6 +487,52 @@ class TestRunTester:
         for eps in (0.2, 0.1, 0.05, 0.02):
             cap = query_cap(TParams(eps=eps), 10**9, 10**9)
             assert cap * eps * eps < 250_000
+
+
+def frozen_cases():
+    """The inputs of the frozen run_tester table, in table order."""
+    hard = gen_hard_thr2(256)
+    for seed in range(20):
+        yield "hard-256-eps0.05", hard, TParams(eps=0.05, c1=4, seed=seed)
+    for seed in range(60):
+        yield "hard-256-eps0.5", hard, TParams(eps=0.5, c1=4, seed=seed)
+    rng = np.random.default_rng(52)  # the tori of test_witness_soundness
+    for trial in range(300):
+        m = int(rng.integers(24, 40))
+        n = int(rng.integers(24, 40))
+        cfg = TorusConfig((rng.random((m, n)) < 0.3).astype(np.uint8))
+        yield "random-24-40", cfg, TParams(eps=0.5, c1=4, seed=trial)
+    for cseed in range(10):
+        spec = GenSpec(m=64, n=64, rects=3, seed=cseed, wraparound_row=(cseed % 2 == 0))
+        cfg = perturb(gen_stable_thr2(spec), 4, np.random.default_rng(cseed))
+        for seed in range(3):
+            yield "perturbed-64", cfg, TParams(eps=0.5, c1=4, seed=seed)
+
+
+class TestFrozenWitnesses:
+    TABLE = Path(__file__).parent / "data" / "run_tester_table.json"
+
+    def test_decisions_witnesses_and_queries_unchanged(self):
+        # Recorded from the quadratic Step 1 pair scan: rows are
+        # [case, accepted, kind, cells, queries].
+        table = json.loads(self.TABLE.read_text())
+        cases = list(frozen_cases())
+        assert len(cases) == len(table) == 410
+        kinds = set()
+        for (name, cfg, params), want in zip(cases, table):
+            res = run_tester(QueryOracle(cfg), params)
+            v = res.violation
+            got = [
+                name,
+                res.accepted,
+                None if v is None else v.kind,
+                None if v is None else [list(c) for c in v.cells],
+                res.queries,
+            ]
+            assert not res.fallback
+            assert got == want, (params.seed, got, want)
+            kinds.add(got[2])
+        assert kinds == {None, "unstable-cell", "wraparound-pair"}
 
 
 class TestNaiveTester:
