@@ -44,11 +44,7 @@ CSV_HEADER = ["trial", "m", "n", "eps", "seed", "algorithm", "decision", "querie
 
 @dataclass
 class ExperimentConfig:
-    """Benchmark sweep parameters.
-
-    c3 is an analysis constant kept for documentation and telemetry; it
-    appears in no executable path.
-    """
+    """Benchmark sweep parameters."""
 
     instance: str
     n: int
@@ -57,7 +53,6 @@ class ExperimentConfig:
     seed: int
     algorithm: str = "structural"
     sample_size: int = 50
-    c3: int = 4
 
     def __post_init__(self) -> None:
         if self.trials < 1:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import MAJORITY, THR2, Rule, TorusConfig, apply_rule, classify_cells, is_stable
+from .grid import MAJORITY, THR2, Rule, TorusConfig, classify_cells, is_stable, threshold_step
 
 
 class InfeasibleSpec(ValueError):
@@ -220,23 +220,7 @@ def exact_distance_to_stable(cfg: TorusConfig, rule: Rule) -> int:
     bits = ((codes[:, None] >> np.arange(mn, dtype=np.uint64)) & 1).astype(np.uint8)
     grids = bits.reshape(total, cfg.m, cfg.n)
 
-    def batch_step(g: np.ndarray) -> np.ndarray:
-        counts = (
-            g.astype(np.int8)
-            + np.roll(g, 1, axis=1)
-            + np.roll(g, -1, axis=1)
-            + np.roll(g, 1, axis=2)
-            + np.roll(g, -1, axis=2)
-        )
-        return (counts >= rule.b).astype(np.uint8)
-
-    if cfg.m >= 3 and cfg.n >= 3:
-        twice = batch_step(batch_step(grids))
-    else:
-        # Degenerate tori: distinct-neighbor counting, via per-config steps.
-        twice = np.stack(
-            [apply_rule(apply_rule(TorusConfig(g), rule), rule).a for g in grids]
-        )
+    twice = threshold_step(threshold_step(grids, rule.b), rule.b)
     stable_mask = (twice == grids).all(axis=(1, 2))
     target = cfg.a.reshape(1, cfg.m, cfg.n)
     dists = (grids[stable_mask] != target).sum(axis=(1, 2))

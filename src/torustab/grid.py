@@ -7,15 +7,18 @@ active cells.  Every threshold automaton converges to a fixed point or a
 2-cycle, so a configuration is called stable when two rule applications map it
 to itself.
 
-On degenerate tori (m <= 2 or n <= 2) the neighbor multiset collapses;
-neighbors are deduplicated and a cell is never its own neighbor, so the rule
-counts each distinct neighbor once.
+Every neighborhood on an m x n torus is read through one table of distinct
+offsets (`von_neumann_offsets`, `moore_offsets`): the stencil's offsets are
+reduced mod (m, n), deduplicated in stencil order, and (0, 0) is dropped.  On
+degenerate tori (m <= 2 or n <= 2) a cell is thus never its own neighbor and
+the rule counts each distinct neighbor once.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
@@ -75,9 +78,12 @@ class TorusConfig:
     def shape(self) -> tuple[int, int]:
         return self.a.shape
 
-    def __getitem__(self, cell: Cell) -> int:
-        i, j = cell
-        return int(self.a[i % self.m, j % self.n])
+    def read(self, cell: Cell) -> int:
+        """The state of a cell, its coordinates taken mod (m, n)."""
+        a = self.a
+        return a.item(cell[0] % a.shape[0], cell[1] % a.shape[1])
+
+    __getitem__ = read
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TorusConfig):
@@ -136,28 +142,50 @@ class TorusConfig:
         return f"TorusConfig({self.m}x{self.n})"
 
 
+def _distinct_offsets(m: int, n: int, stencil: Iterable[Cell]) -> tuple[Cell, ...]:
+    """The stencil's offsets reduced mod (m, n), first occurrences only,
+    without (0, 0)."""
+    out: list[Cell] = []
+    for di, dj in stencil:
+        off = (di % m, dj % n)
+        if off != (0, 0) and off not in out:
+            out.append(off)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def von_neumann_offsets(m: int, n: int) -> tuple[Cell, ...]:
+    """Distinct orthogonal neighbor offsets in the order right, left, down, up."""
+    return _distinct_offsets(m, n, ((0, 1), (0, -1), (1, 0), (-1, 0)))
+
+
+@lru_cache(maxsize=None)
+def moore_offsets(m: int, n: int) -> tuple[Cell, ...]:
+    """Distinct offsets of the eight surrounding cells, row-major over (-1..1)^2."""
+    return _distinct_offsets(m, n, ((di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)))
+
+
 def von_neumann(m: int, n: int, cell: Cell) -> list[Cell]:
     """The distinct orthogonal toroidal neighbors of a cell, excluding itself."""
     i, j = cell[0] % m, cell[1] % n
-    raw = [(i, (j + 1) % n), (i, (j - 1) % n), ((i + 1) % m, j), ((i - 1) % m, j)]
-    seen: list[Cell] = []
-    for c in raw:
-        if c != (i, j) and c not in seen:
-            seen.append(c)
-    return seen
+    return [((i + di) % m, (j + dj) % n) for di, dj in von_neumann_offsets(m, n)]
 
 
 def moore(m: int, n: int, cell: Cell) -> set[Cell]:
     """The cell plus the (distinct) eight cells surrounding it."""
     i, j = cell[0] % m, cell[1] % n
-    return {((i + di) % m, (j + dj) % n) for di in (-1, 0, 1) for dj in (-1, 0, 1)}
+    return {(i, j)} | {((i + di) % m, (j + dj) % n) for di, dj in moore_offsets(m, n)}
+
+
+def cyclic_distance(a: int, b: int, size: int) -> int:
+    """Steps between two coordinates on a cycle of the given length."""
+    d = (a - b) % size
+    return min(d, size - d)
 
 
 def torus_distance(m: int, n: int, a: Cell, b: Cell) -> int:
     """Toroidal Manhattan distance between two cells."""
-    di = abs(a[0] % m - b[0] % m)
-    dj = abs(a[1] % n - b[1] % n)
-    return min(di, m - di) + min(dj, n - dj)
+    return cyclic_distance(a[0], b[0], m) + cyclic_distance(a[1], b[1], n)
 
 
 def neighborhood(
@@ -194,47 +222,44 @@ def neighborhood(
     return ball(r) - ball(r - 1)
 
 
-def _is_degenerate(m: int, n: int) -> bool:
-    return m <= 2 or n <= 2
+def neighbor_sum(a: np.ndarray, offsets: Iterable[Cell]) -> np.ndarray:
+    """Per cell, the sum of `a` over the cells at the given offsets; the last
+    two axes of `a` (uint8) are the torus, any leading axes a batch."""
+    total = np.zeros(a.shape, dtype=np.uint8)
+    for di, dj in offsets:
+        shifted = np.roll(a, -di, axis=-2) if di else a
+        total += np.roll(shifted, -dj, axis=-1) if dj else shifted
+    return total
+
+
+def threshold_step(a: np.ndarray, b: int) -> np.ndarray:
+    """One Threshold-b step of a uint8 grid, or of a stack of grids along
+    the leading axes."""
+    counts = a + neighbor_sum(a, von_neumann_offsets(*a.shape[-2:]))
+    return (counts >= b).astype(np.uint8)
 
 
 def apply_rule(cfg: TorusConfig, rule: Rule) -> TorusConfig:
     """One synchronous step of the Threshold-b rule; the input is unmodified."""
-    a = cfg.a
-    m, n = a.shape
-    if _is_degenerate(m, n):
-        out = np.empty_like(a)
-        for i in range(m):
-            for j in range(n):
-                count = int(a[i, j]) + sum(int(a[p, q]) for p, q in von_neumann(m, n, (i, j)))
-                out[i, j] = 1 if count >= rule.b else 0
-        return TorusConfig(out)
-    counts = (
-        a.astype(np.int8)
-        + np.roll(a, 1, axis=0)
-        + np.roll(a, -1, axis=0)
-        + np.roll(a, 1, axis=1)
-        + np.roll(a, -1, axis=1)
-    )
-    return TorusConfig((counts >= rule.b).astype(np.uint8))
+    return TorusConfig(threshold_step(cfg.a, rule.b))
 
 
 def double_step_cell(read: Callable[[Cell], int], m: int, n: int, rule: Rule, cell: Cell) -> int:
     """The state of `cell` after two rule applications, reading only its
     distance-2 neighborhood through `read`."""
 
-    def step(c: Cell, value_of: Callable[[Cell], int]) -> int:
-        count = value_of(c) + sum(value_of(p) for p in von_neumann(m, n, c))
+    def step(c: Cell) -> int:
+        count = read(c) + sum(read(p) for p in von_neumann(m, n, c))
         return 1 if count >= rule.b else 0
 
-    inner = {c: step(c, read) for c in neighborhood(m, n, cell, 1)}
-    return step(cell, lambda c: inner[c])
+    count = step(cell) + sum(step(p) for p in von_neumann(m, n, cell))
+    return 1 if count >= rule.b else 0
 
 
 def is_cell_stable(cfg: TorusConfig, rule: Rule, cell: Cell) -> bool:
     """Whether the cell keeps its state after two rule applications."""
     cell = (cell[0] % cfg.m, cell[1] % cfg.n)
-    return double_step_cell(cfg.__getitem__, cfg.m, cfg.n, rule, cell) == cfg[cell]
+    return double_step_cell(cfg.read, cfg.m, cfg.n, rule, cell) == cfg[cell]
 
 
 def is_stable(cfg: TorusConfig, rule: Rule) -> bool:

@@ -20,18 +20,25 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .grid import THR2, Cell, TorusConfig, is_stable, moore, von_neumann
-from .structure import Rect
+from .grid import (
+    THR2,
+    Cell,
+    TorusConfig,
+    cyclic_distance,
+    is_stable,
+    moore_offsets,
+    neighbor_sum,
+    von_neumann,
+)
+from .structure import MONO, Rect
 from .tester import (
-    CHESS,
-    MONO,
     BoundingBox,
-    QueryOracle,
     _parity,
     _rect_inner_boundary,
     classify_plus_kind,
     classify_wraparound,
     cross_region,
+    edge_distance,
     interior_violation,
     perimeter_violation,
     rect_ring,
@@ -67,28 +74,14 @@ class StabilizerParams:
         return math.ceil(self.c1 / self.eps)
 
 
-class ConfigView:
-    """Adapter exposing a materialized configuration through the read/m/n
-    interface that the violation predicates and cross walks expect."""
-
-    def __init__(self, cfg: TorusConfig) -> None:
-        self.cfg = cfg
-        self.m = cfg.m
-        self.n = cfg.n
-
-    def read(self, cell: Cell) -> int:
-        return self.cfg[cell]
-
-
 # ---------------------------------------------------------------------------
 # Step 1: wraparound rows and columns.
 
 
 def _line_flag_tables(cfg: TorusConfig):
     """Per-cell wraparound-consistency flags for the whole grid."""
-    oracle = QueryOracle(cfg)
     return [
-        [classify_wraparound(oracle, (i, j)) for j in range(cfg.n)]
+        [classify_wraparound(cfg, (i, j)) for j in range(cfg.n)]
         for i in range(cfg.m)
     ]
 
@@ -186,11 +179,10 @@ def fix_wraparound_row(
     if cfg.n % 2 != 0:
         raise ValueError("a chessboard wraparound row needs an even row length")
     r %= cfg.m
-    oracle = QueryOracle(cfg)
     even_cols = []
     odd_cols = []
     for c in range(cfg.n):
-        f = classify_wraparound(oracle, (r, c))
+        f = classify_wraparound(cfg, (r, c))
         if f.row_even:
             even_cols.append(c)
         if f.row_odd:
@@ -211,51 +203,20 @@ def fix_wraparound_row(
 # Step 2: rectangulation outside W.
 
 
-def _edge_dists(size: int, k: int) -> np.ndarray:
-    """Distance from each coordinate to its tile's nearest border along one
-    axis; a single-tile axis has no borders."""
-    tiles = max(1, size // k)
-    d = np.full(size, size, dtype=np.int64)
-    if tiles <= 1:
-        return d
-    for t in range(tiles):
-        lo = t * k
-        hi = (t + 1) * k - 1 if t < tiles - 1 else size - 1
-        for x in range(lo, hi + 1):
-            d[x] = min(x - lo, hi - x)
-    return d
-
-
 def rectangulate_exempt(a: np.ndarray, k: int, w_rows: Iterable[int]) -> np.ndarray:
     """The k-rectangulation of `a`, leaving the rows in `w_rows` untouched."""
     m, n = a.shape
-    di = _edge_dists(m, k)[:, None]
-    dj = _edge_dists(n, k)[None, :]
+    di = np.array([edge_distance(i, m, k) for i in range(m)])[:, None]
+    dj = np.array([edge_distance(j, n, k) for j in range(n)])[None, :]
     exempt = np.zeros((m, n), dtype=bool)
     for r in w_rows:
         exempt[r % m, :] = True
     z = a.copy()
     z[((di == 0) | (dj == 0)) & ~exempt] = 0
-    near = np.minimum(np.broadcast_to(di, (m, n)), np.broadcast_to(dj, (m, n))) <= 2
-    if m >= 3 and n >= 3:
-        nb = sum(
-            np.roll(np.roll(z, p, axis=0), q, axis=1)
-            for p in (-1, 0, 1)
-            for q in (-1, 0, 1)
-            if (p, q) != (0, 0)
-        )
-        lonely = (z == 1) & (nb == 0) & near & ~exempt
-    else:
-        lonely = np.zeros((m, n), dtype=bool)
-        for i in range(m):
-            for j in range(n):
-                if z[i, j] == 1 and near[i, j] and not exempt[i, j]:
-                    nbs = moore(m, n, (i, j)) - {(i, j)}
-                    if all(z[p] == 0 for p in nbs):
-                        lonely[i, j] = True
-    out = z.copy()
-    out[lonely] = 0
-    return out
+    near = np.minimum(di, dj) <= 2
+    lonely = (z == 1) & (neighbor_sum(z, moore_offsets(m, n)) == 0) & near & ~exempt
+    z[lonely] = 0
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +396,6 @@ def fix_box(cfg: TorusConfig, box: BoundingBox) -> tuple[TorusConfig, int]:
     return TorusConfig(a), count
 
 
-def _cyc_dist(a: int, b: int, size: int) -> int:
-    d = (a - b) % size
-    return min(d, size - d)
-
-
 def _fix_box_near_w_inplace(
     a: np.ndarray,
     box: BoundingBox,
@@ -458,7 +414,7 @@ def _fix_box_near_w_inplace(
     """
     m, n = a.shape
     rect = box.rect
-    wdist = [min((_cyc_dist(i, r, m) for r in w_rows), default=m + 10) for i in range(m)]
+    wdist = [min((cyclic_distance(i, r, m) for r in w_rows), default=m + 10) for i in range(m)]
     rows_set = set(rect.rows())
     ring_rows = (
         set()
@@ -501,7 +457,7 @@ def _fix_box_near_w_inplace(
         i, j = cell
         if wdist[i] != 2:
             continue
-        near_w = [r for r in w_rows if _cyc_dist(i, r, m) == 2]
+        near_w = [r for r in w_rows if cyclic_distance(i, r, m) == 2]
         if len(near_w) >= 2 or (len(near_w) == 1 and near_ring(i)):
             put(cell, 0, track=True)
         else:
@@ -526,23 +482,6 @@ def _fix_box_near_w_inplace(
         else:
             put(cell, pat(cell))
     return changed
-
-
-def fix_box_near_wraparound(
-    cfg: TorusConfig,
-    box: BoundingBox,
-    w_rows: Iterable[int],
-    step1_changed: Iterable[Cell] = (),
-) -> tuple[TorusConfig, int]:
-    """Repair a box intersecting the 2-neighborhood of wraparound rows.
-
-    `step1_changed` lists the cells modified by the wraparound repair, used
-    to recognize rows that were deliberately zeroed.
-    """
-    a = cfg.a.copy()
-    forced = {c for c in step1_changed if cfg[c] == 0}
-    count = _fix_box_near_w_inplace(a, box, sorted({r % cfg.m for r in w_rows}), cfg[box.anchor], forced)
-    return TorusConfig(a), count
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +581,7 @@ def stabilize(
     # so only the first of each such pair is repaired.
     kept: list[tuple[int, int]] = []
     for r, p in sorted(lines):
-        if any(_cyc_dist(r, r2, m2) == 2 and p2 == p for r2, p2 in kept):
+        if any(cyclic_distance(r, r2, m2) == 2 and p2 == p for r2, p2 in kept):
             continue
         kept.append((r, p))
     step1_changed: set[Cell] = set()
@@ -662,10 +601,10 @@ def stabilize(
     rectangulated = rectangulate_exempt(work, k, w_rows)
     step2 = int((rectangulated != work).sum())
     work = rectangulated
-    view = ConfigView(TorusConfig(work.copy()))
+    view = TorusConfig(work.copy())
 
     # Step 3.
-    wdist = [min((_cyc_dist(i, r, m2) for r in w_rows), default=m2 + 10) for i in range(m2)]
+    wdist = [min((cyclic_distance(i, r, m2) for r in w_rows), default=m2 + 10) for i in range(m2)]
     pairs = _compatible_boxes(_collect_good_boxes(view, k, alpha), view)
     step3 = 0
     box_stats = []

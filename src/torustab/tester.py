@@ -23,14 +23,13 @@ from .grid import (
     Cell,
     Rule,
     TorusConfig,
+    cyclic_distance,
     double_step_cell,
     is_stable,
+    moore_offsets,
     von_neumann,
 )
-from .structure import Rect
-
-MONO = "mono"
-CHESS = "chess"
+from .structure import CHESS, MONO, Rect
 
 
 class QueryOracle:
@@ -132,6 +131,25 @@ class ViolationReport:
         }
 
 
+def edge_distance(coord: int, size: int, k: int) -> int:
+    """Distance from a coordinate to the nearest border line of its k-tile
+    along one axis; `size` when the axis is a single tile (no borders)."""
+    tiles = size // k
+    if tiles <= 1:
+        return size
+    t = min(coord // k, tiles - 1)
+    lo = t * k
+    hi = lo + k - 1 if t < tiles - 1 else size - 1
+    return min(coord - lo, hi - coord)
+
+
+def _moore_isolated(read, m: int, n: int, cell: Cell) -> bool:
+    """Whether every distinct Moore neighbor of the cell reads 0; reads in
+    `moore_offsets` order and stops at the first 1."""
+    i, j = cell
+    return all(read(((i + di) % m, (j + dj) % n)) == 0 for di, dj in moore_offsets(m, n))
+
+
 class RectView:
     """Query access to sigma#, the k-rectangulation of the oracle's config.
 
@@ -148,26 +166,12 @@ class RectView:
         self.k = k
         self.m = oracle.m
         self.n = oracle.n
-        self._tiles_m = max(1, self.m // k)
-        self._tiles_n = max(1, self.n // k)
         self._memo: dict[Cell, int] = {}
-
-    def _edge_distance(self, coord: int, size: int, tiles: int) -> int:
-        """Distance from the cell's coordinate to its tile's nearest border
-        ring along this axis; "infinite" when the axis has a single tile."""
-        if tiles <= 1:
-            return size  # no border on this axis
-        t = min(coord // self.k, tiles - 1)
-        lo = t * self.k
-        hi = (t + 1) * self.k - 1 if t < tiles - 1 else size - 1
-        return min(coord - lo, hi - coord)
 
     def _zeroed(self, cell: Cell) -> int:
         """The configuration after step 2 (all tile 1-boundaries zeroed)."""
         i, j = cell[0] % self.m, cell[1] % self.n
-        if self._edge_distance(i, self.m, self._tiles_m) == 0:
-            return 0
-        if self._edge_distance(j, self.n, self._tiles_n) == 0:
+        if edge_distance(i, self.m, self.k) == 0 or edge_distance(j, self.n, self.k) == 0:
             return 0
         return self.oracle.read((i, j))
 
@@ -176,40 +180,22 @@ class RectView:
         got = self._memo.get((i, j))
         if got is not None:
             return got
-        di = self._edge_distance(i, self.m, self._tiles_m)
-        dj = self._edge_distance(j, self.n, self._tiles_n)
+        di = edge_distance(i, self.m, self.k)
+        dj = edge_distance(j, self.n, self.k)
         if di == 0 or dj == 0:
             value = 0
         else:
-            value = self._zeroed((i, j))
+            value = self.oracle.read((i, j))
+            # 3-boundary: zero the cell if it is Moore 1-isolated in the
+            # post-step-2 configuration.
             if value == 1 and min(di, dj) <= 2:
-                # 3-boundary: zero the cell if it is Moore 1-isolated in the
-                # post-step-2 configuration.
-                lonely = all(
-                    self._zeroed(((i + a) % self.m, (j + b) % self.n)) == 0
-                    for a in (-1, 0, 1)
-                    for b in (-1, 0, 1)
-                    if (a, b) != (0, 0)
-                )
-                if lonely:
+                if _moore_isolated(self._zeroed, self.m, self.n, (i, j)):
                     value = 0
         self._memo[(i, j)] = value
         return value
 
 
-def materialize_rectangulation(cfg: TorusConfig, k: int) -> TorusConfig:
-    """Whole-grid sigma# for testing and for the stabilizer."""
-    view = RectView(QueryOracle(cfg), k)
-    out = np.empty(cfg.shape, dtype=np.uint8)
-    for i in range(cfg.m):
-        for j in range(cfg.n):
-            out[i, j] = view.read((i, j))
-    return TorusConfig(out)
-
-
-def _window_consistent(
-    oracle: QueryOracle, cell: Cell, axis: str, parity: int
-) -> bool:
+def _window_consistent(oracle, cell: Cell, axis: str, parity: int) -> bool:
     """Whether sigma[Gamma<=3(cell)] extends to a config in which the cell's
     row (axis="row") or column is an even/odd chessboard wraparound.
 
@@ -265,8 +251,9 @@ def _window_consistent(
     return True
 
 
-def classify_wraparound(oracle: QueryOracle, cell: Cell) -> WraparoundFlags:
-    """Wraparound-consistency flags of a cell, reading only Gamma<=3(cell)."""
+def classify_wraparound(oracle, cell: Cell) -> WraparoundFlags:
+    """Wraparound-consistency flags of a cell, reading only Gamma<=3(cell)
+    through `oracle` (a QueryOracle or a TorusConfig)."""
     cell = (cell[0] % oracle.m, cell[1] % oracle.n)
     return WraparoundFlags(
         row_even=_window_consistent(oracle, cell, "row", 0),
@@ -359,17 +346,7 @@ def _is_chess_cell(view: RectView, cell: Cell) -> bool:
     nbs = von_neumann(view.m, view.n, cell)
     if len(nbs) < 4 or any(view.read(nb) == v for nb in nbs):
         return False
-    if v == 1:
-        i, j = cell
-        lonely = all(
-            view.read(((i + a) % view.m, (j + b) % view.n)) == 0
-            for a in (-1, 0, 1)
-            for b in (-1, 0, 1)
-            if (a, b) != (0, 0)
-        )
-        if lonely:
-            return False
-    return True
+    return not (v == 1 and _moore_isolated(view.read, view.m, view.n, cell))
 
 
 def classify_plus_kind(view: RectView, cell: Cell) -> Optional[str]:
@@ -460,14 +437,8 @@ def rect_ring(rect: Rect, r: int) -> list[Cell]:
     return sorted(set(out))
 
 
-def _signed_delta(a: int, b: int, size: int) -> int:
-    """Minimal-magnitude signed displacement from a to b on a cycle."""
-    d = (b - a) % size
-    return d if d <= size - d else d - size
-
-
 def _parity(m: int, n: int, a: Cell, b: Cell) -> int:
-    return (abs(_signed_delta(a[0], b[0], m)) + abs(_signed_delta(a[1], b[1], n))) % 2
+    return (cyclic_distance(a[0], b[0], m) + cyclic_distance(a[1], b[1], n)) % 2
 
 
 def interior_violation(view: RectView, box: BoundingBox, cell: Cell) -> bool:

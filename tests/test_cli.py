@@ -222,4 +222,3 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(instance="hard-thr2", n=16, eps=2.0, trials=1, seed=0)
         cfg = ExperimentConfig(instance="hard-thr2", n=16, eps=0.1, trials=1, seed=0)
-        assert cfg.c3 == 4

@@ -1,9 +1,11 @@
 """Tests for instance generators, censuses, and the brute-force oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from torustab import MAJORITY, THR2, TorusConfig, is_stable
+from torustab import MAJORITY, THR2, Rule, TorusConfig, is_stable
 from torustab.generators import (
     GenSpec,
     InfeasibleSpec,
@@ -15,6 +17,27 @@ from torustab.generators import (
     gen_stable_thr2,
     perturb,
 )
+
+
+def slow_distance_to_stable(a: np.ndarray, b: int) -> int:
+    """Reference: enumerate every grid and double-step it cell by cell,
+    counting each distinct von Neumann neighbor other than the cell once."""
+    m, n = a.shape
+
+    def step(g):
+        out = np.zeros_like(g)
+        for i in range(m):
+            for j in range(n):
+                nbs = {((i + 1) % m, j), ((i - 1) % m, j), (i, (j + 1) % n), (i, (j - 1) % n)}
+                out[i, j] = int(g[i, j]) + sum(int(g[c]) for c in nbs - {(i, j)}) >= b
+        return out
+
+    best = m * n
+    for bits in itertools.product((0, 1), repeat=m * n):
+        g = np.array(bits, np.uint8).reshape(m, n)
+        if (step(step(g)) == g).all():
+            best = min(best, int((g != a).sum()))
+    return best
 
 
 class TestStableGenerators:
@@ -150,3 +173,15 @@ class TestExactDistance:
             for rule in (THR2, MAJORITY):
                 zero = exact_distance_to_stable(cfg, rule) == 0
                 assert zero == is_stable(cfg, rule)
+
+    def test_small_shapes_match_cell_reference(self):
+        # Every shape from 1x1 to 6x8 small enough to enumerate by hand.
+        rng = np.random.default_rng(62)
+        for m in range(1, 7):
+            for n in range(1, 9):
+                if m * n > 8:
+                    continue
+                a = (rng.random((m, n)) < 0.5).astype(np.uint8)
+                for b in range(1, 6):
+                    got = exact_distance_to_stable(TorusConfig(a), Rule(b))
+                    assert got == slow_distance_to_stable(a, b), (m, n, b)

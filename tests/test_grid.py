@@ -22,7 +22,14 @@ from torustab import (
     path_parity,
     von_neumann,
 )
-from torustab.grid import ParityError, classify_cell, classify_cells, torus_distance
+from torustab.grid import (
+    ParityError,
+    classify_cell,
+    classify_cells,
+    moore_offsets,
+    threshold_step,
+    torus_distance,
+)
 
 
 def slow_step(a: np.ndarray, b: int) -> np.ndarray:
@@ -37,6 +44,19 @@ def slow_step(a: np.ndarray, b: int) -> np.ndarray:
             out[i, j] = 1 if count >= b else 0
     return out
 
+
+def slow_von_neumann(m: int, n: int, cell) -> list:
+    """Reference: right, left, down, up; first occurrences, never the cell."""
+    i, j = cell
+    out = []
+    for c in [(i, (j + 1) % n), (i, (j - 1) % n), ((i + 1) % m, j), ((i - 1) % m, j)]:
+        if c != (i, j) and c not in out:
+            out.append(c)
+    return out
+
+
+# Every shape from 1x1 to 6x8, degenerate ones included.
+SMALL_SHAPES = [(m, n) for m in range(1, 7) for n in range(1, 9)]
 
 grids = st.tuples(
     st.integers(1, 7), st.integers(1, 7), st.integers(0, 2**31 - 1)
@@ -135,6 +155,40 @@ class TestApplyRule:
         for rule in (THR1, THR2, MAJORITY):
             assert is_stable(TorusConfig.zeros(4, 6), rule)
             assert is_stable(TorusConfig.ones(4, 6), rule)
+
+
+class TestSmallShapes:
+    """Every shape from 1x1 to 6x8 against the per-cell references."""
+
+    def test_apply_rule_matches_slow_step(self):
+        rng = np.random.default_rng(71)
+        for m, n in SMALL_SHAPES:
+            for density in (0.3, 0.6):
+                a = (rng.random((m, n)) < density).astype(np.uint8)
+                for b in range(1, 6):
+                    assert (apply_rule(TorusConfig(a), Rule(b)).a == slow_step(a, b)).all(), (m, n, b)
+
+    def test_batched_step_matches_slow_step(self):
+        rng = np.random.default_rng(72)
+        for m, n in SMALL_SHAPES:
+            stack = (rng.random((4, m, n)) < 0.5).astype(np.uint8)
+            for b in range(1, 6):
+                got = threshold_step(stack, b)
+                for g, a in zip(got, stack):
+                    assert (g == slow_step(a, b)).all(), (m, n, b)
+
+    def test_neighbor_order(self):
+        for m, n in SMALL_SHAPES:
+            for i in range(m):
+                for j in range(n):
+                    assert von_neumann(m, n, (i, j)) == slow_von_neumann(m, n, (i, j))
+                    want = {((i + p) % m, (j + q) % n) for p in (-1, 0, 1) for q in (-1, 0, 1)}
+                    assert moore(m, n, (i, j)) == want
+        # Moore offsets are row-major; none collapse once both sides are >= 3.
+        assert moore_offsets(5, 7) == (
+            (4, 6), (4, 0), (4, 1), (0, 6), (0, 1), (1, 6), (1, 0), (1, 1)
+        )
+        assert moore_offsets(1, 4) == ((0, 3), (0, 1))
 
 
 class TestStability:

@@ -13,7 +13,6 @@ from torustab import THR2, TorusConfig, is_stable
 from torustab.generators import GenSpec, gen_hard_thr2, gen_stable_thr2, perturb
 from torustab.grid import is_cell_stable
 from torustab.stabilizer import (
-    ConfigView,
     NoMajorityClass,
     StabilizerParams,
     alpha_good,
@@ -31,6 +30,36 @@ def all_4x4():
     codes = np.arange(1 << 16, dtype=np.uint32)
     bits = ((codes[:, None] >> np.arange(16)) & 1).astype(np.uint8)
     return bits.reshape(-1, 4, 4)
+
+
+def slow_rectangulate(a, k, w_rows):
+    """Reference k-rectangulation from the definition, cell by cell: zero the
+    tile borders outside W, then every cell outside W within edge distance 2
+    whose distinct Moore neighbors other than itself are all 0."""
+    m, n = a.shape
+
+    def edge(x, size):
+        tiles = size // k
+        if tiles <= 1:
+            return size  # a single-tile axis has no borders
+        spans = [(t * k, t * k + k - 1) for t in range(tiles - 1)] + [((tiles - 1) * k, size - 1)]
+        return next(min(x - lo, hi - x) for lo, hi in spans if lo <= x <= hi)
+
+    exempt = {r % m for r in w_rows}
+    z = a.copy()
+    for i in range(m):
+        for j in range(n):
+            if i not in exempt and 0 in (edge(i, m), edge(j, n)):
+                z[i, j] = 0
+    out = z.copy()
+    for i in range(m):
+        for j in range(n):
+            if i in exempt or z[i, j] == 0 or min(edge(i, m), edge(j, n)) > 2:
+                continue
+            nbs = {((i + p) % m, (j + q) % n) for p in (-1, 0, 1) for q in (-1, 0, 1)}
+            if all(z[c] == 0 for c in nbs - {(i, j)}):
+                out[i, j] = 0
+    return out
 
 
 class TestParams:
@@ -141,7 +170,20 @@ def block_view(block_rows, block_cols, shape=(20, 20), holes=(), extras=()):
         a[cell] = 0
     for cell in extras:
         a[cell] = 1
-    return ConfigView(TorusConfig(a))
+    return TorusConfig(a)
+
+
+class TestRectangulateExempt:
+    def test_small_shapes_match_cell_reference(self):
+        # Every shape from 1x1 to 6x8, without and with an exempt row.
+        rng = np.random.default_rng(81)
+        for m in range(1, 7):
+            for n in range(1, 9):
+                for k in range(1, 5):
+                    a = (rng.random((m, n)) < 0.4).astype(np.uint8)
+                    for w_rows in ([], [int(rng.integers(0, m))]):
+                        got = rectangulate_exempt(a, k, w_rows)
+                        assert (got == slow_rectangulate(a, k, w_rows)).all(), (m, n, k, w_rows)
 
 
 class TestAlphaGood:
@@ -166,7 +208,7 @@ class TestMaximalGoodBoxes:
         a = np.zeros((24, 24), np.uint8)
         a[2:4, 2:5] = 1
         a[14:17, 12:16] = 1
-        boxes = maximal_good_boxes(ConfigView(TorusConfig(a)), 6, 0.1)
+        boxes = maximal_good_boxes(TorusConfig(a), 6, 0.1)
         rects = sorted((b.rect.row0, b.rect.col0, b.rect.height, b.rect.width) for b in boxes)
         assert rects == [(2, 2, 2, 3), (14, 12, 3, 4)]
 
@@ -176,7 +218,7 @@ class TestMaximalGoodBoxes:
             m = int(rng.integers(6, 14))
             n = int(rng.integers(6, 14))
             cfg = TorusConfig((rng.random((m, n)) < 0.35).astype(np.uint8))
-            view = ConfigView(TorusConfig(rectangulate_exempt(cfg.a.copy(), 5, [])))
+            view = TorusConfig(rectangulate_exempt(cfg.a.copy(), 5, []))
             boxes = maximal_good_boxes(view, 5, 0.2)
             for i, b1 in enumerate(boxes):
                 for b2 in boxes[i + 1 :]:
@@ -189,7 +231,7 @@ class TestFixBox:
         a[5:9, 5:10] = 1
         a[6, 6] = 0
         a[7, 8] = 0
-        view = ConfigView(TorusConfig(a))
+        view = TorusConfig(a)
         box = alpha_good(view, (5, 5), 6, 0.2)
         assert box is not None
         out, count = fix_box(TorusConfig(a), box)
@@ -199,7 +241,7 @@ class TestFixBox:
     def test_clean_box_zero_count(self):
         a = np.zeros((20, 20), np.uint8)
         a[5:8, 5:9] = 1
-        view = ConfigView(TorusConfig(a))
+        view = TorusConfig(a)
         box = alpha_good(view, (5, 5), 6, 0.1)
         _, count = fix_box(TorusConfig(a), box)
         assert count == 0
@@ -210,13 +252,12 @@ class TestFixBox:
             for j in range(5, 11):
                 a[i, j] = (i + j) % 2
         a[7, 7] ^= 1
-        view = ConfigView(TorusConfig(a))
+        view = TorusConfig(a)
         box = alpha_good(view, (5, 6), 6, 0.2)
         assert box is not None and box.kind == "chess"
         out, count = fix_box(TorusConfig(a), box)
         assert count == 1
-        after = ConfigView(out)
-        assert not any(interior_violation(after, box, c) for c in box.rect.cells())
+        assert not any(interior_violation(out, box, c) for c in box.rect.cells())
 
 
 class TestStabilize:
@@ -320,7 +361,7 @@ class TestStabilize:
             out, report = stabilize(cfg, eps, params)
             if report.axis != "rows" or report.step1 != 0:
                 continue
-            view = ConfigView(TorusConfig(rectangulate_exempt(cfg.a.copy(), params.k, [])))
+            view = TorusConfig(rectangulate_exempt(cfg.a.copy(), params.k, []))
             kept = {(b.rect.row0, b.rect.col0, b.rect.height, b.rect.width) for b in report.boxes}
             for i in range(m):
                 for j in range(n):

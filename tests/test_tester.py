@@ -16,7 +16,7 @@ import pytest
 from torustab import THR2, TorusConfig, is_stable
 from torustab.generators import GenSpec, gen_hard_thr2, gen_stable_thr2, perturb
 from torustab.grid import is_cell_stable, moore, neighborhood
-from torustab.stabilizer import ConfigView, rectangulate_exempt
+from torustab.stabilizer import rectangulate_exempt
 from torustab.structure import mono_components
 from torustab.tester import (
     QueryOracle,
@@ -29,13 +29,18 @@ from torustab.tester import (
     cross_region,
     interior_violation,
     is_violating_pair,
-    materialize_rectangulation,
     perimeter_violation,
     query_cap,
     rect_ring,
     run_naive_tester,
     run_tester,
 )
+
+
+def read_rect_view(cfg, k):
+    """sigma# read cell by cell through a RectView."""
+    view = RectView(QueryOracle(cfg), k)
+    return TorusConfig([[view.read((i, j)) for j in range(cfg.n)] for i in range(cfg.m)])
 
 
 def cfg_from(rows):
@@ -145,18 +150,18 @@ class TestRectangulation:
     def test_matches_whole_grid_implementation(self):
         rng = np.random.default_rng(41)
         for trial in range(120):
-            m = int(rng.integers(4, 20))
-            n = int(rng.integers(4, 20))
+            m = int(rng.integers(1, 20))
+            n = int(rng.integers(1, 20))
             k = int(rng.integers(4, 9))
             cfg = TorusConfig((rng.random((m, n)) < 0.4).astype(np.uint8))
-            a = materialize_rectangulation(cfg, k).a
+            a = read_rect_view(cfg, k).a
             b = rectangulate_exempt(cfg.a.copy(), k, [])
             assert (a == b).all(), (m, n, k)
 
     def test_single_tile_axis_untouched(self):
         rng = np.random.default_rng(42)
         cfg = TorusConfig((rng.random((3, 20)) < 0.5).astype(np.uint8))
-        out = materialize_rectangulation(cfg, 4)
+        out = read_rect_view(cfg, 4)
         # m = 3 < k: no row borders, only column borders apply.
         cols_zeroed = out.a[:, 0].sum() == 0
         assert cols_zeroed
@@ -164,14 +169,14 @@ class TestRectangulation:
     def test_lonely_one_near_border_zeroed(self):
         a = np.zeros((12, 12), np.uint8)
         a[2, 6] = 1  # distance 2 from the row border, Moore-isolated
-        out = materialize_rectangulation(TorusConfig(a), 4)
+        out = read_rect_view(TorusConfig(a), 4)
         assert out[(2, 6)] == 0
 
     def test_lonely_one_far_from_border_kept(self):
         # k = 8 tiles leave cells at edge distance 3, outside the 3-boundary.
         a = np.zeros((16, 16), np.uint8)
         a[3, 4] = 1
-        out = materialize_rectangulation(TorusConfig(a), 8)
+        out = read_rect_view(TorusConfig(a), 8)
         assert out[(3, 4)] == 1
 
 
@@ -327,7 +332,7 @@ class TestFirstViolatingPair:
 class TestCrossRegion:
     def make_view(self, a, k=6):
         # Plain view: these are geometry tests, independent of rectangulation.
-        return ConfigView(TorusConfig(a))
+        return TorusConfig(a)
 
     def test_mono_block_recovered(self):
         a = np.zeros((20, 20), np.uint8)
@@ -371,7 +376,7 @@ class TestViolationPredicates:
         a = np.zeros((20, 20), np.uint8)
         a[5:8, 5:9] = 1
         a[6, 7] = 0
-        view = ConfigView(TorusConfig(a))
+        view = TorusConfig(a)
         box = cross_region(view, (5, 5), 6)
         assert interior_violation(view, box, (6, 7))
         assert not interior_violation(view, box, (5, 5))
@@ -380,7 +385,7 @@ class TestViolationPredicates:
         a = np.zeros((20, 20), np.uint8)
         a[5:8, 5:9] = 1
         a[9, 6] = 1  # distance 2 below the block
-        view = ConfigView(TorusConfig(a))
+        view = TorusConfig(a)
         box = cross_region(view, (6, 6), 6)
         assert perimeter_violation(view, box, (9, 6))
         assert not perimeter_violation(view, box, (9, 8))
@@ -392,7 +397,7 @@ class TestViolationPredicates:
         for i in range(5, 9):
             for j in range(5, 9):
                 a[i, j] = (i + j) % 2
-        view = ConfigView(TorusConfig(a))
+        view = TorusConfig(a)
         box = cross_region(view, (5, 6), 6)
         for cell in rect_ring(box.rect, 2):
             assert not perimeter_violation(view, box, cell)
