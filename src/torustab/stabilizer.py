@@ -30,7 +30,7 @@ from .grid import (
     neighbor_sum,
     von_neumann,
 )
-from .structure import MONO, Rect
+from .structure import MONO, Rect, rect_distance
 from .tester import (
     BoundingBox,
     _parity,
@@ -42,6 +42,7 @@ from .tester import (
     interior_violation,
     perimeter_violation,
     rect_ring,
+    wraparound_planes,
 )
 
 
@@ -78,44 +79,30 @@ class StabilizerParams:
 # Step 1: wraparound rows and columns.
 
 
-def _line_flag_tables(cfg: TorusConfig):
-    """Per-cell wraparound-consistency flags for the whole grid."""
-    return [
-        [classify_wraparound(cfg, (i, j)) for j in range(cfg.n)]
-        for i in range(cfg.m)
-    ]
-
-
 def _qualifying(count: int, length: int, alpha: float) -> bool:
     return count >= (1 - alpha) * length - 1e-9
 
 
-def _alpha_lines(cfg: TorusConfig, alpha: float, flags=None):
-    """(rows, cols) that are alpha-wraparound consistent, with parity class.
+def _alpha_lines(planes, alpha: float):
+    """(rows, cols) that are alpha-wraparound consistent, with parity class,
+    from the four `wraparound_planes`.
 
     Each entry is (index, parity) where parity 0 means state-1 cells sit at
     even positions along the line.
     """
-    if flags is None:
-        flags = _line_flag_tables(cfg)
-    m, n = cfg.m, cfg.n
-    rows: list[tuple[int, int]] = []
-    for i in range(m):
-        ne = sum(flags[i][j].row_even for j in range(n))
-        no = sum(flags[i][j].row_odd for j in range(n))
-        if _qualifying(ne, n, alpha):
-            rows.append((i, 0))
-        elif _qualifying(no, n, alpha):
-            rows.append((i, 1))
-    cols: list[tuple[int, int]] = []
-    for j in range(n):
-        ne = sum(flags[i][j].col_even for i in range(m))
-        no = sum(flags[i][j].col_odd for i in range(m))
-        if _qualifying(ne, m, alpha):
-            cols.append((j, 0))
-        elif _qualifying(no, m, alpha):
-            cols.append((j, 1))
-    return rows, cols
+    row_even, row_odd, col_even, col_odd = planes
+    m, n = row_even.shape
+
+    def lines(even: np.ndarray, odd: np.ndarray, length: int) -> list[tuple[int, int]]:
+        out = []
+        for idx, (ne, no) in enumerate(zip(even.sum(axis=1).tolist(), odd.sum(axis=1).tolist())):
+            if _qualifying(ne, length, alpha):
+                out.append((idx, 0))
+            elif _qualifying(no, length, alpha):
+                out.append((idx, 1))
+        return out
+
+    return lines(row_even, row_odd, n), lines(col_even.T, col_odd.T, m)
 
 
 def alpha_wraparound_rows(cfg: TorusConfig, alpha: float) -> tuple[list[int], list[int]]:
@@ -126,7 +113,7 @@ def alpha_wraparound_rows(cfg: TorusConfig, alpha: float) -> tuple[list[int], li
     """
     if not (0 < alpha < 0.5):
         raise ValueError(f"alpha must be in (0, 1/2), got {alpha}")
-    rows, cols = _alpha_lines(cfg, alpha)
+    rows, cols = _alpha_lines(wraparound_planes(cfg.a), alpha)
     return [r for r, _ in rows], [c for c, _ in cols]
 
 
@@ -304,23 +291,6 @@ def maximal_good_boxes(view, k: int, alpha: float) -> list[BoundingBox]:
     return [b for b, _ in _collect_good_boxes(view, k, alpha)]
 
 
-def _interval_gap(a0: int, alen: int, b0: int, blen: int, size: int) -> int:
-    """Cyclic distance between two coordinate intervals (0 when they meet)."""
-    if alen >= size or blen >= size:
-        return 0
-    if (b0 - a0) % size < alen or (a0 - b0) % size < blen:
-        return 0
-    fwd = (b0 - (a0 + alen)) % size
-    bwd = (a0 - (b0 + blen)) % size
-    return min(fwd, bwd) + 1
-
-
-def _rect_gap(a: Rect, b: Rect) -> int:
-    return _interval_gap(a.row0, a.height, b.row0, b.height, a.m) + _interval_gap(
-        a.col0, a.width, b.col0, b.width, a.n
-    )
-
-
 def _planned_pattern(shape: tuple[int, int], box: BoundingBox, anchor_val: int) -> np.ndarray:
     """The repaired content of a box, alone on an otherwise empty torus."""
     arr = np.zeros(shape, dtype=np.uint8)
@@ -363,7 +333,7 @@ def _compatible_boxes(
             continue
         ok = True
         for other, _ in kept:
-            if _rect_gap(box.rect, other.rect) > 4:
+            if rect_distance(box.rect, other.rect) > 4:
                 continue
             union = pattern(other).copy()
             cells = box.rect.cells()
@@ -549,31 +519,23 @@ def stabilize(
     if params is None:
         params = StabilizerParams(eps=eps)
     alpha, k = params.alpha, params.k
-    flags = _line_flag_tables(cfg)
-    rows, cols = _alpha_lines(cfg, alpha, flags)
+    planes = wraparound_planes(cfg.a)
+    rows, cols = _alpha_lines(planes, alpha)
 
+    # The column case reads the column planes as rows of the transpose.
     use_rows = len(rows) >= len(cols)
     if use_rows:
         work = cfg.a.copy()
         lines = rows
-
-        def anchor_col(r: int, parity: int) -> int:
-            for j in range(cfg.n):
-                f = flags[r][j]
-                if (f.row_even if parity == 0 else f.row_odd):
-                    return j
-            raise NoMajorityClass(f"no parity-{parity} consistent cell in row {r}")
-
+        line_planes = planes[:2]
     else:
         work = cfg.a.T.copy()
         lines = cols
+        line_planes = (planes[2].T, planes[3].T)
 
-        def anchor_col(c: int, parity: int) -> int:
-            for i in range(cfg.m):
-                f = flags[i][c]
-                if (f.col_even if parity == 0 else f.col_odd):
-                    return i
-            raise NoMajorityClass(f"no parity-{parity} consistent cell in column {c}")
+    def anchor_col(r: int, parity: int) -> int:
+        """The first position along line r flagged for the parity class."""
+        return int(np.flatnonzero(line_planes[parity][r])[0])
 
     m2, n2 = work.shape
 

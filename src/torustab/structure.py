@@ -28,9 +28,11 @@ from .grid import (
     MAJORITY,
     Cell,
     TorusConfig,
-    apply_rule,
     classify_cells,
+    neighbor_sum,
+    shifted,
     von_neumann,
+    von_neumann_offsets,
 )
 
 MONO = "mono"
@@ -159,33 +161,61 @@ def mono_components(cfg: TorusConfig, beta: int) -> list[Component]:
 
 
 def chess_components(cfg: TorusConfig) -> list[Component]:
-    """Maximal chessboard components.
+    """Maximal chessboard components: the 2-core of the alternation graph
+    (edges between adjacent cells of differing state), split into its
+    connected pieces.
 
-    Computed as the fixpoint of: build the alternation graph (edges between
-    adjacent cells of differing state), split into connected pieces, peel
-    cells with in-piece alternation degree < 2, and repeat until stable.
+    The core is what is left after repeatedly peeling cells with fewer than
+    two alternation edges.  Every piece keeps all alternation edges of its
+    cells, so no piece peels further.  The pieces are listed in the reverse
+    of the order in which they are found, and they are found by popping
+    seeds from the set of core cells; that set is built as the set of all
+    cells with the peeled cells discarded one by one, so the list order
+    follows its iteration order.
     """
     m, n = cfg.shape
     a = cfg.a
+    offsets = von_neumann_offsets(m, n)
+    degree = np.zeros((m, n), dtype=np.uint8)
+    for di, dj in offsets:
+        degree += a != shifted(a, di, dj)
+    # Peel on flat indices; the neighbor of cell i * n + j at an offset is
+    # row_base[i] + col[j].  A cell without alternation edges changes no
+    # degree when peeled, so those go at once and the queue visits the rest.
+    states = a.tobytes()
+    deg = bytearray(degree.tobytes())
+    peeled = bytearray((degree == 0).tobytes())
+    tables = [
+        ([(i + di) % m * n for i in range(m)], [(j + dj) % n for j in range(n)])
+        for di, dj in offsets
+    ]
+    queue = np.flatnonzero(degree == 1).tolist()
+    while queue:
+        c = queue.pop()
+        if peeled[c]:
+            continue
+        peeled[c] = 1
+        i, j = divmod(c, n)
+        for row_base, col in tables:
+            nb = row_base[i] + col[j]
+            if not peeled[nb] and states[nb] != states[c]:
+                deg[nb] -= 1
+                if deg[nb] < 2:
+                    queue.append(nb)
+    if 0 not in peeled:
+        return []
+
+    # The list order follows this set's table layout, which the
+    # comprehension, the copy and the one-by-one discards fix (`-=` may not).
+    core = set({(i, j) for i in range(m) for j in range(n)})
+    for c in np.flatnonzero(np.frombuffer(peeled, dtype=np.uint8)).tolist():
+        core.discard(divmod(c, n))
+    state = a.tolist()
+    nbrs = {c: von_neumann(m, n, c) for c in core}
 
     def alt_neighbors(cells: set[Cell], c: Cell) -> list[Cell]:
-        return [nb for nb in von_neumann(m, n, c) if nb in cells and a[nb] != a[c]]
-
-    def peel(cells: set[Cell]) -> set[Cell]:
-        cells = set(cells)
-        degree = {c: len(alt_neighbors(cells, c)) for c in cells}
-        queue = deque(c for c, d in degree.items() if d < 2)
-        while queue:
-            c = queue.popleft()
-            if c not in cells:
-                continue
-            cells.discard(c)
-            for nb in von_neumann(m, n, c):
-                if nb in cells and a[nb] != a[c]:
-                    degree[nb] -= 1
-                    if degree[nb] < 2:
-                        queue.append(nb)
-        return cells
+        s = state[c[0]][c[1]]
+        return [nb for nb in nbrs[c] if nb in cells and state[nb[0]][nb[1]] != s]
 
     def alt_pieces(cells: set[Cell]) -> list[set[Cell]]:
         remaining = set(cells)
@@ -204,25 +234,14 @@ def chess_components(cfg: TorusConfig) -> list[Component]:
         return out
 
     final: list[Component] = []
-    pending: list[set[Cell]] = [{(i, j) for i in range(m) for j in range(n)}]
-    while pending:
-        cells = peel(pending.pop())
-        if not cells:
-            continue
-        pieces = alt_pieces(cells)
-        for piece in pieces:
-            if len(pieces) == 1 and piece == cells:
-                conflict = any(
-                    a[nb] == a[c]
-                    for c in piece
-                    for nb in von_neumann(m, n, c)
-                    if nb in piece
-                )
-                final.append(
-                    Component(CHESS, piece, rect=as_rect(m, n, piece), conflicted=conflict)
-                )
-            else:
-                pending.append(piece)
+    for piece in reversed(alt_pieces(core)):
+        conflict = any(
+            state[p][q] == state[i][j]
+            for i, j in piece
+            for p, q in nbrs[i, j]
+            if (p, q) in piece
+        )
+        final.append(Component(CHESS, piece, rect=as_rect(m, n, piece), conflicted=conflict))
     return final
 
 
@@ -243,6 +262,25 @@ def component_distance(m: int, n: int, a: Iterable[Cell], b: Iterable[Cell]) -> 
                 dist[nb] = dist[c] + 1
                 queue.append(nb)
     raise ValueError("disconnected torus? unreachable")
+
+
+def _interval_gap(a0: int, alen: int, b0: int, blen: int, size: int) -> int:
+    """Cyclic distance between two coordinate intervals (0 when they meet,
+    as they always do when one is the full cycle)."""
+    if (b0 - a0) % size < alen or (a0 - b0) % size < blen:
+        return 0
+    fwd = (b0 - (a0 + alen)) % size
+    bwd = (a0 - (b0 + blen)) % size
+    return min(fwd, bwd) + 1
+
+
+def rect_distance(a: Rect, b: Rect) -> int:
+    """Torus Manhattan distance between two rectangles (0 when they
+    overlap): the sum of the per-axis cyclic interval gaps, equal to
+    `component_distance` on their cell sets."""
+    return _interval_gap(a.row0, a.height, b.row0, b.height, a.m) + _interval_gap(
+        a.col0, a.width, b.col0, b.width, a.n
+    )
 
 
 @dataclass
@@ -267,8 +305,6 @@ def thr2_structure_check(cfg: TorusConfig) -> Verdict:
     """Check the Threshold-2 structural requirements; witness on violation."""
     m, n = cfg.shape
     xs = mono_components(cfg, 1)
-    ys = chess_components(cfg)
-
     for comp in xs:
         if comp.rect is None:
             return Verdict(False, "thr2-structure", "non-rectangle-mono", sorted(comp.cells)[:8])
@@ -276,6 +312,7 @@ def thr2_structure_check(cfg: TorusConfig) -> Verdict:
             return Verdict(
                 False, "thr2-structure", "almost-wraparound-mono", sorted(comp.cells)[:8]
             )
+    ys = chess_components(cfg)
     for comp in ys:
         if comp.conflicted:
             return Verdict(
@@ -284,38 +321,34 @@ def thr2_structure_check(cfg: TorusConfig) -> Verdict:
         if comp.rect is None:
             return Verdict(False, "thr2-structure", "non-rectangle-chess", sorted(comp.cells)[:8])
 
-    covered: set[Cell] = set()
-    for comp in xs:
-        covered |= comp.cells
-    for comp in ys:
-        covered |= comp.cells
-    ones = {(int(i), int(j)) for i, j in zip(*np.nonzero(cfg.a == 1))}
-    stray = ones - covered
+    comps = xs + ys
+    covered = np.zeros((m, n), dtype=bool)
+    chess_zero = np.zeros((m, n), dtype=np.uint8)
+    for comp in comps:
+        rows, cols = zip(*comp.cells)
+        covered[rows, cols] = True
+        if comp.kind == CHESS:
+            chess_zero[rows, cols] = cfg.a[rows, cols] == 0
+    stray = np.argwhere((cfg.a == 1) & ~covered)[:8].tolist()
     if stray:
-        return Verdict(False, "thr2-structure", "state-1-in-Z", sorted(stray)[:8])
+        return Verdict(False, "thr2-structure", "state-1-in-Z", [tuple(c) for c in stray])
 
     # Phase requirement: a cell outside all components must not be adjacent to
     # two state-0 chessboard cells; those toggle to 1 in unison and would
-    # activate it two steps later.
-    chess_zero = {c for comp in ys for c in comp.cells if cfg.a[c] == 0}
-    for i in range(m):
-        for j in range(n):
-            if (i, j) in covered:
-                continue
-            hot = [nb for nb in von_neumann(m, n, (i, j)) if nb in chess_zero]
-            if len(hot) >= 2:
-                return Verdict(
-                    False, "thr2-structure", "in-phase-chess-neighbors", [(i, j)] + hot[:2]
-                )
+    # activate it two steps later.  The witness is the first such cell in
+    # row-major order and its first two such neighbors in von Neumann order.
+    hot_count = neighbor_sum(chess_zero, von_neumann_offsets(m, n))
+    in_phase = np.flatnonzero((hot_count >= 2) & ~covered)
+    if len(in_phase):
+        cell = divmod(int(in_phase[0]), n)
+        hot = [nb for nb in von_neumann(m, n, cell) if chess_zero[nb]]
+        return Verdict(False, "thr2-structure", "in-phase-chess-neighbors", [cell] + hot[:2])
 
-    comps = [(MONO, c) for c in xs] + [(CHESS, c) for c in ys]
-    for i in range(len(comps)):
-        for j in range(i + 1, len(comps)):
-            kind_i, ci = comps[i]
-            kind_j, cj = comps[j]
-            need = 3 if MONO in (kind_i, kind_j) else 2
-            d = component_distance(m, n, ci.cells, cj.cells)
-            if d < need:
+    # Every component is a rectangle here, so distances are rectangle gaps.
+    for i, ci in enumerate(comps):
+        for cj in comps[i + 1 :]:
+            need = 3 if MONO in (ci.kind, cj.kind) else 2
+            if rect_distance(ci.rect, cj.rect) < need:
                 w = sorted(ci.cells)[:2] + sorted(cj.cells)[:2]
                 return Verdict(False, "thr2-structure", "components-too-close", w)
     return Verdict(True, "thr2-structure")

@@ -13,7 +13,7 @@ directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,6 +27,7 @@ from .grid import (
     double_step_cell,
     is_stable,
     moore_offsets,
+    shifted,
     von_neumann,
 )
 from .structure import CHESS, MONO, Rect
@@ -261,6 +262,43 @@ def classify_wraparound(oracle, cell: Cell) -> WraparoundFlags:
         col_even=_window_consistent(oracle, cell, "col", 0),
         col_odd=_window_consistent(oracle, cell, "col", 1),
     )
+
+
+def _row_wraparound_planes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The even and odd row flags of `_window_consistent` for every cell."""
+    m, n = a.shape
+    if n % 2 != 0:
+        return np.zeros((m, n), dtype=bool), np.zeros((m, n), dtype=bool)
+
+    one = a == 1
+    # The two neighboring lines are all 0 over positions -2..2.
+    zero_span = np.logical_and.reduce([shifted(~one, 0, d) for d in range(-2, 3)])
+    ok = shifted(zero_span, -1, 0) & shifted(zero_span, 1, 0)
+    # No adjacent pair of 1s inside the window at line offset +-2, or
+    # straddling offsets +-2 and +-3 at position 0.
+    pair = one & shifted(one, 0, 1)
+    for dline, step in ((-2, -1), (2, 1)):
+        ok &= ~shifted(pair, dline, -1) & ~shifted(pair, dline, 0)
+        ok &= ~(shifted(one, dline, 0) & shifted(one, dline + step, 0))
+    # The line carries the parity's alternating pattern over positions -3..3.
+    planes = []
+    for parity in (0, 1):
+        match = one == (np.arange(n) % 2 == parity)
+        planes.append(ok & np.logical_and.reduce([shifted(match, 0, d) for d in range(-3, 4)]))
+    return planes[0], planes[1]
+
+
+def wraparound_planes(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The wraparound-consistency flags of every cell as four (m, n)
+    boolean planes: row_even, row_odd, col_even, col_odd.
+
+    Cell (i, j) of each plane equals the same field of
+    `classify_wraparound(TorusConfig(a), (i, j))`, its per-cell form; a
+    column is a row of the transpose.
+    """
+    row_even, row_odd = _row_wraparound_planes(a)
+    col_even, col_odd = _row_wraparound_planes(a.T)
+    return row_even, row_odd, col_even.T, col_odd.T
 
 
 def is_violating_pair(

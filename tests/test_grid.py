@@ -27,6 +27,7 @@ from torustab.grid import (
     classify_cell,
     classify_cells,
     moore_offsets,
+    shifted,
     threshold_step,
     torus_distance,
 )
@@ -177,6 +178,15 @@ class TestSmallShapes:
                 for g, a in zip(got, stack):
                     assert (g == slow_step(a, b)).all(), (m, n, b)
 
+    def test_shifted_matches_roll(self):
+        rng = np.random.default_rng(73)
+        for m, n in SMALL_SHAPES:
+            stack = (rng.random((2, m, n)) < 0.5).astype(np.uint8)
+            for di in range(-3, 4):
+                for dj in range(-3, 4):
+                    want = np.roll(stack, (-di, -dj), axis=(1, 2))
+                    assert (shifted(stack, di, dj) == want).all(), (m, n, di, dj)
+
     def test_neighbor_order(self):
         for m, n in SMALL_SHAPES:
             for i in range(m):
@@ -287,3 +297,11 @@ class TestGridText:
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError):
             TorusConfig([[0, 2]])
+
+    @pytest.mark.parametrize("bad", [2, 255, 2.0])
+    def test_non_binary_value_rejected_in_any_cell(self, bad):
+        for shape in ((1, 1), (3, 4)):
+            grid = np.zeros(shape, dtype=np.asarray(bad).dtype)
+            grid[-1, -1] = bad
+            with pytest.raises(ValueError, match="binary"):
+                TorusConfig(grid)

@@ -4,10 +4,13 @@ The headline property in both rules: the structural check must agree with the
 exact dynamic oracle (two rule applications return to the start).
 """
 
+from collections import deque
+
 import numpy as np
 import pytest
 
-from torustab import MAJORITY, THR2, TorusConfig, is_stable
+from torustab import MAJORITY, THR2, TorusConfig, is_stable, von_neumann
+from torustab.generators import GenSpec, gen_hard_thr2, gen_stable_thr2, perturb
 from torustab.structure import (
     Rect,
     as_rect,
@@ -17,12 +20,73 @@ from torustab.structure import (
     majority_partition,
     majority_structure_check,
     mono_components,
+    rect_distance,
     thr2_structure_check,
 )
 
 
 def cfg_from(rows: list[str]) -> TorusConfig:
     return TorusConfig([[int(ch) for ch in row] for row in rows])
+
+
+def fixpoint_chess_components(cfg: TorusConfig) -> list[tuple]:
+    """Reference: the alternation-graph fixpoint (peel cells with fewer than
+    two in-piece alternation edges, split into pieces, repeat on each piece),
+    as [(cells, rect, conflicted)] in its output order."""
+    m, n = cfg.shape
+    a = cfg.a
+
+    def alt_neighbors(cells, c):
+        return [nb for nb in von_neumann(m, n, c) if nb in cells and a[nb] != a[c]]
+
+    def peel(cells):
+        cells = set(cells)
+        degree = {c: len(alt_neighbors(cells, c)) for c in cells}
+        queue = deque(c for c, d in degree.items() if d < 2)
+        while queue:
+            c = queue.popleft()
+            if c not in cells:
+                continue
+            cells.discard(c)
+            for nb in von_neumann(m, n, c):
+                if nb in cells and a[nb] != a[c]:
+                    degree[nb] -= 1
+                    if degree[nb] < 2:
+                        queue.append(nb)
+        return cells
+
+    def alt_pieces(cells):
+        remaining = set(cells)
+        out = []
+        while remaining:
+            seed = remaining.pop()
+            piece = {seed}
+            queue = deque([seed])
+            while queue:
+                c = queue.popleft()
+                for nb in alt_neighbors(remaining, c):
+                    remaining.discard(nb)
+                    piece.add(nb)
+                    queue.append(nb)
+            out.append(piece)
+        return out
+
+    final = []
+    pending = [{(i, j) for i in range(m) for j in range(n)}]
+    while pending:
+        cells = peel(pending.pop())
+        if not cells:
+            continue
+        pieces = alt_pieces(cells)
+        for piece in pieces:
+            if len(pieces) == 1 and piece == cells:
+                conflict = any(
+                    a[nb] == a[c] for c in piece for nb in von_neumann(m, n, c) if nb in piece
+                )
+                final.append((piece, as_rect(m, n, piece), conflict))
+            else:
+                pending.append(piece)
+    return final
 
 
 class TestRect:
@@ -91,6 +155,51 @@ class TestComponents:
         comps = chess_components(TorusConfig(a))
         assert len(comps) == 1
         assert comps[0].cells == {(3, j) for j in range(8)}
+
+    def test_chess_components_match_fixpoint_reference(self):
+        # List order included: it decides which bad component the structure
+        # check reports.
+        rng = np.random.default_rng(61)
+        cfgs = []
+        for m in range(1, 11):
+            for n in range(1, 11):
+                cfgs += [TorusConfig((rng.random((m, n)) < p).astype(np.uint8)) for p in (0.3, 0.5)]
+        for _ in range(60):
+            m, n = int(rng.integers(8, 25)), int(rng.integers(8, 25))
+            a = np.zeros((m, n), np.uint8)
+            for _ in range(4):
+                r0, c0, h, w = (int(x) for x in rng.integers(0, 8, size=4))
+                rows, cols = (r0 + np.arange(h + 1)) % m, (c0 + np.arange(w + 1)) % n
+                a[np.ix_(rows, cols)] = np.add.outer(rows, cols + int(rng.integers(2))) % 2
+            cfgs.append(TorusConfig(a))
+        cfgs += [gen_hard_thr2(12), gen_hard_thr2(20)]
+        cfgs += [
+            perturb(gen_stable_thr2(GenSpec(m=32, n=32, rects=5, seed=s)), 3, rng) for s in range(4)
+        ]
+        multi = 0
+        for cfg in cfgs:
+            got = [(c.cells, c.rect, c.conflicted) for c in chess_components(cfg)]
+            assert got == fixpoint_chess_components(cfg), cfg.to_text()
+            multi += len(got) > 1
+        assert multi > 50
+
+    def test_rect_distance_matches_bfs(self):
+        rng = np.random.default_rng(62)
+
+        def random_rect(m, n):
+            h, w = int(rng.integers(1, m + 1)), int(rng.integers(1, n + 1))
+            r0 = 0 if h == m else int(rng.integers(m))
+            c0 = 0 if w == n else int(rng.integers(n))
+            return Rect(m, n, r0, h, c0, w)
+
+        for m in range(1, 9):
+            for n in range(1, 9):
+                rects = [random_rect(m, n) for _ in range(12)]
+                rects += [Rect(m, n, 0, m, 0, 1), Rect(m, n, 0, 1, 0, n), Rect(m, n, 0, m, 0, n)]
+                for ra in rects:
+                    for rb in rects:
+                        want = component_distance(m, n, ra.cells(), rb.cells())
+                        assert rect_distance(ra, rb) == want, (ra, rb)
 
     def test_component_distance(self):
         assert component_distance(8, 8, [(0, 0)], [(0, 3)]) == 3

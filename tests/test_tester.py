@@ -34,6 +34,7 @@ from torustab.tester import (
     rect_ring,
     run_naive_tester,
     run_tester,
+    wraparound_planes,
 )
 
 
@@ -225,6 +226,40 @@ class TestClassifyWraparound:
                         parity,
                     )
                     checks += 1
+
+
+class TestWraparoundPlanes:
+    """`wraparound_planes` against its per-cell form `classify_wraparound`."""
+
+    def test_matches_classify_wraparound_on_small_shapes(self):
+        rng = np.random.default_rng(44)
+        for m in range(1, 13):
+            for n in range(1, 13):
+                densities = (0.1, 0.2, 0.35, 0.5, 0.6)
+                grids = [(rng.random((m, n)) < p).astype(np.uint8) for p in densities]
+                row = np.zeros((m, n), np.uint8)
+                row[int(rng.integers(m)), :] = (np.arange(n) + rng.integers(2)) % 2
+                col = np.zeros((m, n), np.uint8)
+                col[:, int(rng.integers(n))] = (np.arange(m) + rng.integers(2)) % 2
+                for planted in (row, col):
+                    grids += [planted, planted ^ (rng.random((m, n)) < 0.05).astype(np.uint8)]
+                for a in grids:
+                    planes = wraparound_planes(a)
+                    assert all(p.shape == (m, n) and p.dtype == bool for p in planes)
+                    cfg = TorusConfig(a)
+                    for i in range(m):
+                        for j in range(n):
+                            f = classify_wraparound(cfg, (i, j))
+                            want = (f.row_even, f.row_odd, f.col_even, f.col_odd)
+                            got = tuple(bool(p[i, j]) for p in planes)
+                            assert got == want, (a.tolist(), i, j)
+
+    def test_planted_row_flags_every_cell(self):
+        a = np.zeros((9, 10), np.uint8)
+        a[4, :] = (np.arange(10) + 1) % 2
+        row_even, row_odd, col_even, col_odd = wraparound_planes(a)
+        assert row_even[4].all() and not row_odd.any()
+        assert row_even.sum() == 10 and not col_even.any() and not col_odd.any()
 
 
 class TestViolatingPair:
