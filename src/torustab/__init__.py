@@ -16,7 +16,6 @@ from .grid import (
     is_cell_stable,
     is_stable,
     moore,
-    neighborhood,
     path_parity,
     von_neumann,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "is_cell_stable",
     "is_stable",
     "moore",
-    "neighborhood",
     "path_parity",
     "von_neumann",
 ]

@@ -59,12 +59,18 @@ class TorusConfig:
     __slots__ = ("a",)
 
     def __init__(self, states) -> None:
-        a = np.asarray(states, dtype=np.uint8)
+        a = np.asarray(states)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValueError("states must be a non-empty 2D array")
-        if a.max() > 1:
+        # Check the values before the cast, which would wrap 256 to 0 and
+        # truncate 0.5 to 0; uint8 and bool input only needs its maximum.
+        if a.dtype == np.uint8 or a.dtype == np.bool_:
+            binary = a.max() <= 1
+        else:
+            binary = ((a == 0) | (a == 1)).all()
+        if not binary:
             raise ValueError("states must be binary")
-        self.a = np.ascontiguousarray(a)
+        self.a = np.ascontiguousarray(a, dtype=np.uint8)
 
     @property
     def m(self) -> int:
@@ -130,7 +136,7 @@ class TorusConfig:
             if len(line) != n or set(line) - {"0", "1"}:
                 raise ValueError(f"bad grid row: {line!r}")
             rows.append([int(ch) for ch in line])
-        return cls(rows)
+        return cls(np.array(rows, dtype=np.uint8))
 
     def to_text(self) -> str:
         out = [f"{self.m} {self.n}"]
@@ -181,45 +187,6 @@ def cyclic_distance(a: int, b: int, size: int) -> int:
     """Steps between two coordinates on a cycle of the given length."""
     d = (a - b) % size
     return min(d, size - d)
-
-
-def torus_distance(m: int, n: int, a: Cell, b: Cell) -> int:
-    """Toroidal Manhattan distance between two cells."""
-    return cyclic_distance(a[0], b[0], m) + cyclic_distance(a[1], b[1], n)
-
-
-def neighborhood(
-    m: int, n: int, cells: Cell | Iterable[Cell], r: int, mode: str = "at-most"
-) -> set[Cell]:
-    """Toroidal Manhattan ball (mode='at-most') or sphere (mode='exactly').
-
-    Accepts a single cell or an iterable of cells; the set version is the union
-    of the per-cell neighborhoods (sphere: ball(r) minus ball(r-1)).
-    """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    if mode not in ("at-most", "exactly"):
-        raise ValueError(f"bad mode {mode!r}")
-    if isinstance(cells, tuple) and len(cells) == 2 and isinstance(cells[0], int):
-        seeds = [cells]
-    else:
-        seeds = list(cells)  # type: ignore[arg-type]
-
-    def ball(radius: int) -> set[Cell]:
-        out: set[Cell] = set()
-        for (ci, cj) in seeds:
-            ci, cj = ci % m, cj % n
-            for di in range(-radius, radius + 1):
-                rem = radius - abs(di)
-                for dj in range(-rem, rem + 1):
-                    out.add(((ci + di) % m, (cj + dj) % n))
-        return out
-
-    if mode == "at-most":
-        return ball(r)
-    if r == 0:
-        return ball(0)
-    return ball(r) - ball(r - 1)
 
 
 def shifted(a: np.ndarray, di: int, dj: int) -> np.ndarray:

@@ -33,15 +33,13 @@ from .grid import (
 from .structure import MONO, Rect, rect_distance
 from .tester import (
     BoundingBox,
-    _parity,
-    _rect_inner_boundary,
+    border_violation,
+    box_pattern,
     classify_plus_kind,
     classify_wraparound,
     cross_region,
     edge_distance,
     interior_violation,
-    perimeter_violation,
-    rect_ring,
     wraparound_planes,
 )
 
@@ -220,13 +218,8 @@ def _box_violations(view, box: BoundingBox, alpha: float) -> Optional[int]:
     """
     if box.kind == MONO and box.rect.almost_wraparound:
         return None
-    for ring in (1, 2):
-        for p in rect_ring(box.rect, ring):
-            if perimeter_violation(view, box, p):
-                return None
-    for p in _rect_inner_boundary(box.rect):
-        if interior_violation(view, box, p):
-            return None
+    if border_violation(view, box) is not None:
+        return None
     v = sum(1 for p in box.rect.cells() if interior_violation(view, box, p))
     if v > alpha * box.rect.size():
         return None
@@ -291,15 +284,6 @@ def maximal_good_boxes(view, k: int, alpha: float) -> list[BoundingBox]:
     return [b for b, _ in _collect_good_boxes(view, k, alpha)]
 
 
-def _planned_pattern(shape: tuple[int, int], box: BoundingBox, anchor_val: int) -> np.ndarray:
-    """The repaired content of a box, alone on an otherwise empty torus."""
-    arr = np.zeros(shape, dtype=np.uint8)
-    m, n = shape
-    for cell in box.rect.cells():
-        arr[cell] = 1 if box.kind == MONO else anchor_val ^ _parity(m, n, box.anchor, cell)
-    return arr
-
-
 def _compatible_boxes(
     pairs: list[tuple[BoundingBox, int]], view
 ) -> list[tuple[BoundingBox, int]]:
@@ -321,9 +305,11 @@ def _compatible_boxes(
     planned: dict[int, np.ndarray] = {}
 
     def pattern(box: BoundingBox) -> np.ndarray:
+        """The repaired box alone on an otherwise empty torus."""
         key = id(box)
         if key not in planned:
-            planned[key] = _planned_pattern(shape, box, view.read(box.anchor))
+            planned[key] = np.zeros(shape, dtype=np.uint8)
+            _fix_box_inplace(planned[key], box, view.read(box.anchor))
         return planned[key]
 
     kept: list[tuple[BoundingBox, int]] = []
@@ -349,10 +335,9 @@ def _compatible_boxes(
 
 def _fix_box_inplace(a: np.ndarray, box: BoundingBox, anchor_val: int) -> int:
     """Eliminate the box's interior violations; returns the modified count."""
-    m, n = a.shape
     count = 0
     for cell in box.rect.cells():
-        want = 1 if box.kind == MONO else anchor_val ^ _parity(m, n, box.anchor, cell)
+        want = box_pattern(box, anchor_val, cell)
         if a[cell] != want:
             a[cell] = want
             count += 1
@@ -370,6 +355,7 @@ def _fix_box_near_w_inplace(
     a: np.ndarray,
     box: BoundingBox,
     w_rows: list[int],
+    wdist: list[int],
     anchor_val: int,
     forced_zero: set[Cell],
 ) -> int:
@@ -380,11 +366,11 @@ def _fix_box_near_w_inplace(
     distance 2 only where the pattern disagrees with the wraparound cell two
     rows away, then re-pattern the remainder unless a row ends up squeezed
     between dead rows (which would leave an illegal one-row strip).
-    `forced_zero` holds cells already zeroed by the wraparound repair.
+    `wdist` gives each row's cyclic distance to W, and `forced_zero` holds
+    cells already zeroed by the wraparound repair.
     """
     m, n = a.shape
     rect = box.rect
-    wdist = [min((cyclic_distance(i, r, m) for r in w_rows), default=m + 10) for i in range(m)]
     rows_set = set(rect.rows())
     ring_rows = (
         set()
@@ -420,9 +406,6 @@ def _fix_box_near_w_inplace(
                 put(cell, 1)
         return changed
 
-    def pat(cell: Cell) -> int:
-        return anchor_val ^ _parity(m, n, box.anchor, cell)
-
     for cell in rect.cells():
         i, j = cell
         if wdist[i] != 2:
@@ -432,7 +415,7 @@ def _fix_box_near_w_inplace(
             put(cell, 0, track=True)
         else:
             partner = (near_w[0], j)
-            v = pat(cell)
+            v = box_pattern(box, anchor_val, cell)
             if v != a[partner]:
                 put(cell, v, track=True)
 
@@ -450,7 +433,7 @@ def _fix_box_near_w_inplace(
         if dead_memo[(i - 1) % m] and dead_memo[(i + 1) % m]:
             put(cell, 0)
         else:
-            put(cell, pat(cell))
+            put(cell, box_pattern(box, anchor_val, cell))
     return changed
 
 
@@ -581,7 +564,7 @@ def stabilize(
                 for c in box.rect.cells()
                 if wdist[c[0]] <= 2 and c in step1_changed
             )
-            mod = _fix_box_near_w_inplace(work, box, w_rows, anchor_val, forced_zero)
+            mod = _fix_box_near_w_inplace(work, box, w_rows, wdist, anchor_val, forced_zero)
         step3 += mod
         rep_box = box if use_rows else _transpose_box(box)
         box_stats.append(

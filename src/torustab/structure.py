@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from functools import partial
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -98,8 +99,12 @@ class Component:
     conflicted: bool = False
 
 
-def _components(m: int, n: int, cells: set[Cell]) -> list[set[Cell]]:
-    """4-connected components of a cell set on the torus."""
+def _components(cells: set[Cell], neighbors: Callable[[Cell], list[Cell]]) -> list[set[Cell]]:
+    """Connected components of a cell set under a neighbor relation.
+
+    Seeds are popped from a copy of the set and each component is walked
+    breadth-first, so the list order follows the set's iteration order.
+    """
     remaining = set(cells)
     out = []
     while remaining:
@@ -108,7 +113,7 @@ def _components(m: int, n: int, cells: set[Cell]) -> list[set[Cell]]:
         queue = deque([seed])
         while queue:
             c = queue.popleft()
-            for nb in von_neumann(m, n, c):
+            for nb in neighbors(c):
                 if nb in remaining:
                     remaining.discard(nb)
                     comp.add(nb)
@@ -154,7 +159,7 @@ def mono_components(cfg: TorusConfig, beta: int) -> list[Component]:
     m, n = cfg.shape
     cells = {(int(i), int(j)) for i, j in zip(*np.nonzero(cfg.a == beta))}
     out = []
-    for comp in _components(m, n, cells):
+    for comp in _components(cells, partial(von_neumann, m, n)):
         if len(comp) >= 2:
             out.append(Component(MONO, comp, state=beta, rect=as_rect(m, n, comp)))
     return out
@@ -213,28 +218,12 @@ def chess_components(cfg: TorusConfig) -> list[Component]:
     state = a.tolist()
     nbrs = {c: von_neumann(m, n, c) for c in core}
 
-    def alt_neighbors(cells: set[Cell], c: Cell) -> list[Cell]:
+    def alt_neighbors(c: Cell) -> list[Cell]:
         s = state[c[0]][c[1]]
-        return [nb for nb in nbrs[c] if nb in cells and state[nb[0]][nb[1]] != s]
-
-    def alt_pieces(cells: set[Cell]) -> list[set[Cell]]:
-        remaining = set(cells)
-        out = []
-        while remaining:
-            seed = remaining.pop()
-            piece = {seed}
-            queue = deque([seed])
-            while queue:
-                c = queue.popleft()
-                for nb in alt_neighbors(remaining, c):
-                    remaining.discard(nb)
-                    piece.add(nb)
-                    queue.append(nb)
-            out.append(piece)
-        return out
+        return [nb for nb in nbrs[c] if state[nb[0]][nb[1]] != s]
 
     final: list[Component] = []
-    for piece in reversed(alt_pieces(core)):
+    for piece in reversed(_components(core, alt_neighbors)):
         conflict = any(
             state[p][q] == state[i][j]
             for i, j in piece
@@ -425,7 +414,7 @@ def majority_partition(cfg: TorusConfig) -> Optional[MajorityPartition]:
         cells = {
             (int(i), int(j)) for i, j in zip(*np.nonzero(fixed & (cfg.a == beta)))
         }
-        (p0 if beta == 0 else p1).extend(_components(m, n, cells))
+        (p0 if beta == 0 else p1).extend(_components(cells, partial(von_neumann, m, n)))
 
     toggling = {(int(i), int(j)) for i, j in zip(*np.nonzero(kinds == 1))}
     p3: list[set[Cell]] = []
@@ -435,7 +424,7 @@ def majority_partition(cfg: TorusConfig) -> Optional[MajorityPartition]:
         if cells <= toggling and not (cells & p3_cells):
             p3.append(cells)
             p3_cells |= cells
-    p2 = _components(m, n, toggling - p3_cells)
+    p2 = _components(toggling - p3_cells, partial(von_neumann, m, n))
     return MajorityPartition(p0, p1, p2, p3)
 
 

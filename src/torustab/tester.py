@@ -30,7 +30,15 @@ from .grid import (
     shifted,
     von_neumann,
 )
-from .structure import CHESS, MONO, Rect
+from .structure import CHESS, MONO, Rect, _interval_gap
+
+# Sampling constants of the analysis, each multiplied by ceil(1/eps): Step 1
+# samples A_ROWS rows and A_ROWS columns and A_CELLS cells on each line;
+# Step 2 samples A_S cells and A_BOX interior cells of each of their boxes.
+A_ROWS = 8
+A_CELLS = 8
+A_S = 8
+A_BOX = 8
 
 
 class QueryOracle:
@@ -66,20 +74,18 @@ class QueryOracle:
 
 @dataclass(frozen=True)
 class TesterParams:
-    """Knobs of the tester; defaults follow the analysis constants."""
+    """Knobs of the tester: eps, the tile constant c1 (k = ceil(c1 / eps))
+    and the sampling seed.  The sample sizes are the module constants A_ROWS,
+    A_CELLS, A_S and A_BOX times ceil(1/eps)."""
 
     eps: float
     c1: int = 48
-    a_rows: int = 8
-    a_cells: int = 8
-    a_s: int = 8
-    a_box: int = 8
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not (0 < self.eps <= 1):
             raise ValueError(f"eps must be in (0, 1], got {self.eps}")
-        if self.c1 < 4 or min(self.a_rows, self.a_cells, self.a_s, self.a_box) < 1:
+        if self.c1 < 4:
             raise ValueError("bad tester constants")
 
     @property
@@ -452,31 +458,28 @@ def cross_region(view: RectView, cell: Cell, k: int) -> Optional[BoundingBox]:
     return BoundingBox(rect=rect, anchor=cell, kind=kind, k=k)
 
 
-def _cyclic_gap(coord: int, start: int, length: int, size: int) -> int:
-    """Steps from a coordinate to the cyclic interval [start, start+length)."""
-    rel = (coord - start) % size
-    if rel < length:
-        return 0
-    return min(rel - (length - 1), size - rel)
-
-
 def rect_ring(rect: Rect, r: int) -> list[Cell]:
     """Gamma=r of a rectangle (cells at torus distance exactly r from it)."""
-    m, n = rect.m, rect.n
-    out = []
-    for di in range(-r, rect.height + r):
-        i = (rect.row0 + di) % m
-        gi = _cyclic_gap(i, rect.row0, rect.height, m)
-        for dj in range(-r, rect.width + r):
-            j = (rect.col0 + dj) % n
-            gj = _cyclic_gap(j, rect.col0, rect.width, n)
-            if gi + gj == r:
-                out.append((i, j))
-    return sorted(set(out))
+
+    def axis(start: int, length: int, size: int) -> list[tuple[int, int]]:
+        """Each coordinate within r of the interval, with its gap to it."""
+        span = [x % size for x in range(start - r, start + length + r)]
+        return [(x, _interval_gap(x, 1, start, length, size)) for x in span]
+
+    rows = axis(rect.row0, rect.height, rect.m)
+    cols = axis(rect.col0, rect.width, rect.n)
+    return sorted({(i, j) for i, gi in rows for j, gj in cols if gi + gj == r})
 
 
-def _parity(m: int, n: int, a: Cell, b: Cell) -> int:
-    return (cyclic_distance(a[0], b[0], m) + cyclic_distance(a[1], b[1], n)) % 2
+def box_pattern(box: BoundingBox, anchor_val: int, cell: Cell) -> int:
+    """The state of a cell of the box in its exact pattern: 1 in a mono box;
+    in a chessboard box, the anchor's state flipped when the cell's torus
+    distance to the anchor is odd."""
+    if box.kind == MONO:
+        return 1
+    (i, j), rect = box.anchor, box.rect
+    odd = (cyclic_distance(i, cell[0], rect.m) + cyclic_distance(j, cell[1], rect.n)) % 2
+    return anchor_val ^ odd
 
 
 def interior_violation(view: RectView, box: BoundingBox, cell: Cell) -> bool:
@@ -484,10 +487,7 @@ def interior_violation(view: RectView, box: BoundingBox, cell: Cell) -> bool:
     cell = (cell[0] % view.m, cell[1] % view.n)
     if cell not in box.rect:
         raise ValueError(f"{cell} is not inside the box")
-    if box.kind == MONO:
-        return view.read(cell) == 0
-    want = view.read(box.anchor) ^ _parity(view.m, view.n, box.anchor, cell)
-    return view.read(cell) != want
+    return view.read(cell) != box_pattern(box, view.read(box.anchor), cell)
 
 
 def perimeter_violation(view: RectView, box: BoundingBox, cell: Cell) -> bool:
@@ -495,8 +495,9 @@ def perimeter_violation(view: RectView, box: BoundingBox, cell: Cell) -> bool:
     rules in sigma#; evaluating the monochromatic clause for Gamma=2 cells
     reads their neighbors (within Gamma=3 of the box)."""
     cell = (cell[0] % view.m, cell[1] % view.n)
-    gap = _cyclic_gap(cell[0], box.rect.row0, box.rect.height, view.m) + _cyclic_gap(
-        cell[1], box.rect.col0, box.rect.width, view.n
+    rect = box.rect
+    gap = _interval_gap(cell[0], 1, rect.row0, rect.height, view.m) + _interval_gap(
+        cell[1], 1, rect.col0, rect.width, view.n
     )
     if gap not in (1, 2):
         raise ValueError(f"{cell} is not on the box perimeter")
@@ -506,9 +507,23 @@ def perimeter_violation(view: RectView, box: BoundingBox, cell: Cell) -> bool:
         return True
     if gap == 1:
         return True
-    if view.read(box.anchor) ^ _parity(view.m, view.n, box.anchor, cell) == 1:
+    if box_pattern(box, view.read(box.anchor), cell) == 1:
         return True
     return any(view.read(nb) == 1 for nb in von_neumann(view.m, view.n, cell))
+
+
+def border_violation(view: RectView, box: BoundingBox) -> Optional[tuple[str, Cell]]:
+    """The first violation on the box's border in sigma#, as (kind, cell):
+    a "perimeter" cell of Gamma=1 then Gamma=2 in `rect_ring` order, else an
+    "interior" cell of the box's 1-boundary; None when the border is clean."""
+    for r in (1, 2):
+        for p in rect_ring(box.rect, r):
+            if perimeter_violation(view, box, p):
+                return "perimeter", p
+    for p in _rect_inner_boundary(box.rect):
+        if interior_violation(view, box, p):
+            return "interior", p
+    return None
 
 
 def query_cap(params: TesterParams, m: int, n: int) -> int:
@@ -516,15 +531,15 @@ def query_cap(params: TesterParams, m: int, n: int) -> int:
     (aside from the trivial mn ceiling)."""
     k = params.k
     cpe = params.per_eps
-    step1 = 2 * params.a_rows * cpe * params.a_cells * cpe * 25
+    step1 = 2 * A_ROWS * cpe * A_CELLS * cpe * 25
     per_cell = (
         25  # Gamma<=2 in sigma, plus slack
         + 9 * (4 * k + 9)  # cross walk in sigma#
         + 9 * (24 * (k + 1) + 36)  # perimeter rings incl. mono clause reads
         + 9 * (4 * k + 4)  # box 1-boundary
-        + 9 * params.a_box * cpe  # interior sample
+        + 9 * A_BOX * cpe  # interior sample
     )
-    step2 = params.a_s * cpe * per_cell
+    step2 = A_S * cpe * per_cell
     return min(m * n, step1 + step2)
 
 
@@ -540,12 +555,13 @@ def run_tester(oracle: QueryOracle, params: TesterParams) -> TesterResult:
     """The sublinear Threshold-2 stability tester.
 
     Step 1 hunts for unstable cells and wraparound violating pairs along
-    sampled rows and columns.  It classifies S = 2 a_rows a_cells
+    sampled rows and columns.  It classifies S = 2 A_ROWS A_CELLS
     ceil(1/eps)^2 cells, pairs their wraparound flags in O(S) and reports
     the first violating pair in sampling order (smallest first index, then
-    smallest second).  Step 2 samples cells, finds each sampled
-    monochromatic/chessboard cell's bounding box in sigma# and checks for
-    perimeter and interior violations.  When the torus is too small for the
+    smallest second).  Step 2 samples A_S ceil(1/eps) cells, finds each
+    sampled monochromatic/chessboard cell's bounding box in sigma#, checks
+    its border (`border_violation`) and then A_BOX ceil(1/eps) sampled cells
+    of its interior.  When the torus is too small for the
     box machinery (min(m, n) < 3k) the whole configuration is read instead
     and the exact answer returned; the read count mn < 9k^2 respects the cap.
     """
@@ -565,11 +581,11 @@ def run_tester(oracle: QueryOracle, params: TesterParams) -> TesterResult:
 
     # Step 1: wraparound violating pairs.
     classified: list[tuple[Cell, WraparoundFlags]] = []
-    lines = [("row", int(r)) for r in rng.integers(0, m, params.a_rows * cpe)]
-    lines += [("col", int(c)) for c in rng.integers(0, n, params.a_rows * cpe)]
+    lines = [("row", int(r)) for r in rng.integers(0, m, A_ROWS * cpe)]
+    lines += [("col", int(c)) for c in rng.integers(0, n, A_ROWS * cpe)]
     for axis, idx in lines:
         span = n if axis == "row" else m
-        for offset in rng.integers(0, span, params.a_cells * cpe):
+        for offset in rng.integers(0, span, A_CELLS * cpe):
             cell = (idx, int(offset)) if axis == "row" else (int(offset), idx)
             if not _cell_stable(oracle, cell):
                 report = ViolationReport("unstable-cell", [cell], step="step1")
@@ -587,9 +603,7 @@ def run_tester(oracle: QueryOracle, params: TesterParams) -> TesterResult:
     view = RectView(oracle, k)
     samples = [
         (int(i), int(j))
-        for i, j in zip(
-            rng.integers(0, m, params.a_s * cpe), rng.integers(0, n, params.a_s * cpe)
-        )
+        for i, j in zip(rng.integers(0, m, A_S * cpe), rng.integers(0, n, A_S * cpe))
     ]
     for cell in samples:
         if not _cell_stable(oracle, cell):
@@ -599,17 +613,12 @@ def run_tester(oracle: QueryOracle, params: TesterParams) -> TesterResult:
         box = cross_region(view, cell, k)
         if box is None:
             continue
-        for r in (1, 2):
-            for p in rect_ring(box.rect, r):
-                if perimeter_violation(view, box, p):
-                    report = ViolationReport("perimeter", [cell, p], step="step2")
-                    return TesterResult(False, report, oracle.queries)
-        for p in _rect_inner_boundary(box.rect):
-            if interior_violation(view, box, p):
-                report = ViolationReport("interior", [cell, p], step="step2")
-                return TesterResult(False, report, oracle.queries)
-        rows = rng.integers(0, box.rect.height, params.a_box * cpe)
-        cols = rng.integers(0, box.rect.width, params.a_box * cpe)
+        bad = border_violation(view, box)
+        if bad is not None:
+            report = ViolationReport(bad[0], [cell, bad[1]], step="step2")
+            return TesterResult(False, report, oracle.queries)
+        rows = rng.integers(0, box.rect.height, A_BOX * cpe)
+        cols = rng.integers(0, box.rect.width, A_BOX * cpe)
         for di, dj in zip(rows, cols):
             p = ((box.rect.row0 + int(di)) % m, (box.rect.col0 + int(dj)) % n)
             if interior_violation(view, box, p):

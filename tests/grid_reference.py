@@ -1,0 +1,50 @@
+"""Reference helpers for the tests: brute-force torus distances and balls.
+
+These have no caller in the package; the tests use them as independent
+oracles for neighborhood-shaped reads and rings.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+from torustab.grid import Cell, cyclic_distance
+
+
+def torus_distance(m: int, n: int, a: Cell, b: Cell) -> int:
+    """Toroidal Manhattan distance between two cells."""
+    return cyclic_distance(a[0], b[0], m) + cyclic_distance(a[1], b[1], n)
+
+
+def neighborhood(
+    m: int, n: int, cells: Cell | Iterable[Cell], r: int, mode: str = "at-most"
+) -> set[Cell]:
+    """Toroidal Manhattan ball (mode='at-most') or sphere (mode='exactly').
+
+    Accepts a single cell or an iterable of cells; the set version is the union
+    of the per-cell neighborhoods (sphere: ball(r) minus ball(r-1)).
+    """
+    if r < 0:
+        raise ValueError("r must be nonnegative")
+    if mode not in ("at-most", "exactly"):
+        raise ValueError(f"bad mode {mode!r}")
+    if isinstance(cells, tuple) and len(cells) == 2 and isinstance(cells[0], int):
+        seeds = [cells]
+    else:
+        seeds = list(cells)  # type: ignore[arg-type]
+
+    def ball(radius: int) -> set[Cell]:
+        out: set[Cell] = set()
+        for (ci, cj) in seeds:
+            ci, cj = ci % m, cj % n
+            for di in range(-radius, radius + 1):
+                rem = radius - abs(di)
+                for dj in range(-rem, rem + 1):
+                    out.add(((ci + di) % m, (cj + dj) % n))
+        return out
+
+    if mode == "at-most":
+        return ball(r)
+    if r == 0:
+        return ball(0)
+    return ball(r) - ball(r - 1)

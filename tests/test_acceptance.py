@@ -8,7 +8,6 @@ per-module suites; criterion 11 runs a representative bundle here.
 import time
 
 import numpy as np
-import pytest
 
 from torustab import MAJORITY, THR2, TorusConfig, is_stable
 from torustab.generators import (
@@ -16,7 +15,6 @@ from torustab.generators import (
     count_unstable,
     gen_hard_majority,
     gen_hard_thr2,
-    gen_stable_majority,
     gen_stable_thr2,
 )
 from torustab.grid import (

@@ -18,7 +18,6 @@ from torustab import (
     is_cell_stable,
     is_stable,
     moore,
-    neighborhood,
     path_parity,
     von_neumann,
 )
@@ -29,8 +28,9 @@ from torustab.grid import (
     moore_offsets,
     shifted,
     threshold_step,
-    torus_distance,
 )
+
+from grid_reference import neighborhood, torus_distance
 
 
 def slow_step(a: np.ndarray, b: int) -> np.ndarray:
@@ -297,8 +297,10 @@ class TestGridText:
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError):
             TorusConfig([[0, 2]])
+        with pytest.raises(ValueError, match="binary"):
+            TorusConfig([[0, 256]])
 
-    @pytest.mark.parametrize("bad", [2, 255, 2.0])
+    @pytest.mark.parametrize("bad", [2, 255, 2.0, 256, -255, 0.5, 1.5])
     def test_non_binary_value_rejected_in_any_cell(self, bad):
         for shape in ((1, 1), (3, 4)):
             grid = np.zeros(shape, dtype=np.asarray(bad).dtype)

@@ -7,7 +7,6 @@ exact dynamic oracle (two rule applications return to the start).
 from collections import deque
 
 import numpy as np
-import pytest
 
 from torustab import MAJORITY, THR2, TorusConfig, is_stable, von_neumann
 from torustab.generators import GenSpec, gen_hard_thr2, gen_stable_thr2, perturb

@@ -15,17 +15,19 @@ import pytest
 
 from torustab import THR2, TorusConfig, is_stable
 from torustab.generators import GenSpec, gen_hard_thr2, gen_stable_thr2, perturb
-from torustab.grid import is_cell_stable, moore, neighborhood
+from torustab.grid import is_cell_stable, moore
 from torustab.stabilizer import rectangulate_exempt
-from torustab.structure import mono_components
+from torustab.structure import MONO, Rect, mono_components
 from torustab.tester import (
+    BoundingBox,
     QueryOracle,
     RectView,
     TesterParams as TParams,
     WraparoundFlags,
     _first_violating_pair,
+    border_violation,
+    box_pattern,
     classify_wraparound,
-    classify_plus_kind,
     cross_region,
     interior_violation,
     is_violating_pair,
@@ -36,6 +38,8 @@ from torustab.tester import (
     run_tester,
     wraparound_planes,
 )
+
+from grid_reference import neighborhood, torus_distance
 
 
 def read_rect_view(cfg, k):
@@ -439,6 +443,65 @@ class TestViolationPredicates:
         out_of_domain = (0, 0)
         with pytest.raises(ValueError):
             perimeter_violation(view, box, out_of_domain)
+
+    def test_box_pattern_reproduces_boxes(self):
+        a = np.zeros((20, 20), np.uint8)
+        for i in range(5, 9):
+            for j in range(5, 10):
+                a[i, j] = (i + j) % 2
+        a[12:15, 3:7] = 1
+        view = TorusConfig(a)
+        for anchor in ((5, 6), (6, 6), (13, 4)):
+            box = cross_region(view, anchor, 6)
+            for cell in box.rect.cells():
+                assert box_pattern(box, view[anchor], cell) == a[cell], (anchor, cell)
+
+    def test_border_violation_order(self):
+        # A mono block with an inner-boundary hole, a 1 on ring 2 and a 1 on
+        # ring 1: rings come first, ring 1 before ring 2, then the 1-boundary.
+        a = np.zeros((20, 20), np.uint8)
+        a[5:9, 5:9] = 1
+        view = TorusConfig(a.copy())
+        box = cross_region(view, (6, 6), 6)
+        assert border_violation(view, box) is None
+        a[8, 7] = 0
+        view = TorusConfig(a.copy())
+        assert border_violation(view, box) == ("interior", (8, 7))
+        a[10, 6] = 1
+        view = TorusConfig(a.copy())
+        assert border_violation(view, box) == ("perimeter", (10, 6))
+        a[9, 8] = 1
+        view = TorusConfig(a.copy())
+        assert border_violation(view, box) == ("perimeter", (9, 8))
+
+
+class TestRectRing:
+    def test_rings_and_perimeter_domain_match_brute_force(self):
+        """Every rectangle on every torus from 1x1 to 7x7, full-cycle ones
+        and all starts included: `rect_ring(rect, r)` is the sorted set of
+        cells at brute-force torus distance exactly r from the rectangle, and
+        `perimeter_violation` raises exactly for cells outside rings 1-2."""
+        for m, n in itertools.product(range(1, 8), repeat=2):
+            cells = [(i, j) for i in range(m) for j in range(n)]
+            dist = np.array([[torus_distance(m, n, a, b) for b in cells] for a in cells])
+            view = TorusConfig.zeros(m, n)
+            for row0, height, col0, width in itertools.product(
+                range(m), range(1, m + 1), range(n), range(1, n + 1)
+            ):
+                rect = Rect(m, n, row0, height, col0, width)
+                inside = np.array([c in rect for c in cells])
+                to_rect = dist[:, inside].min(axis=1).tolist()
+                for r in (1, 2, 3):
+                    want = [c for c, d in zip(cells, to_rect) if d == r]
+                    assert rect_ring(rect, r) == want, (rect, r)
+                box = BoundingBox(rect, (row0, col0), MONO, 1)
+                for c, d in zip(cells, to_rect):
+                    try:
+                        perimeter_violation(view, box, c)
+                        raised = False
+                    except ValueError:
+                        raised = True
+                    assert raised == (d not in (1, 2)), (rect, c)
 
 
 class TestRunTester:
