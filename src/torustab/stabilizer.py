@@ -497,10 +497,12 @@ def stabilize(
     Rows win ties against columns when choosing the wraparound axis; the
     column case runs the row machinery on the transpose.  Raises RuntimeError
     if the result fails the exact stability oracle (a bug, not an input
-    condition).
+    condition), and ValueError if `params` is given with another eps.
     """
     if params is None:
         params = StabilizerParams(eps=eps)
+    elif params.eps != eps:
+        raise ValueError(f"eps {eps} differs from params.eps {params.eps}")
     alpha, k = params.alpha, params.k
     planes = wraparound_planes(cfg.a)
     rows, cols = _alpha_lines(planes, alpha)

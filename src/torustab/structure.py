@@ -3,17 +3,30 @@
 Threshold-2: a configuration is stable iff
   1. every state-1 monochromatic component and every chessboard component is a
      rectangle, and no monochromatic component is an almost-wraparound
-     rectangle (a rectangle spanning a full cyclic dimension minus one cell);
+     rectangle (a rectangle spanning a cyclic dimension of length >= 3 minus
+     one cell);
   2. every cell outside those components has state 0;
   3. distinct components are at distance >= 2, and >= 3 whenever either one is
      monochromatic;
   4. no cell outside all components is adjacent to two state-0 chessboard
      cells (which toggle to 1 in unison and would activate it).
 
-Majority: a configuration is stable iff its cells admit a partition into
-0-monochromatic fixed sets, 1-monochromatic fixed sets, toggling chessboard
-sets and toggling width-2 zebra wraparound bands, subject to the local
-adjacency requirements checked by `majority_structure_check`.
+Majority: a configuration is stable iff no cell is unstable and its cells
+split into fixed state-0 cells (P0), fixed state-1 cells (P1), toggling
+chessboard cells (P2) and toggling width-2 zebra wraparound bands (P3),
+subject to local adjacency requirements.  `majority_structure_check` holds
+the partition as whole-grid masks and checks these requirements, each as a
+neighbor count or shifted comparison:
+  R1  every P2 cell has a P2 neighbor, and no two adjacent P2 cells share a
+      state;
+  R3  a P0 (P1) cell with 3 (4) neighbors outside P0 (P1) sees at least one
+      (exactly two) P2 cells of each state among them;
+  R4  no P2 cell has two P0 neighbors or two P1 neighbors;
+  R5  every P3 cell has an opposite-state P2 neighbor or one in another band.
+Not checked, as they hold by construction: R1 for P0/P1 (each is cut from
+cells of one state), R2, that no two sets of one part are adjacent (two
+connected pieces of one mask never are, as adjacency is symmetric), and the
+cover of the grid (once no cell is unstable, each is fixed or toggling).
 """
 
 from __future__ import annotations
@@ -66,7 +79,11 @@ class Rect:
     @property
     def almost_wraparound(self) -> bool:
         # One coordinate interval is the full cycle minus a single element.
-        return self.height == self.m - 1 or self.width == self.n - 1
+        # On a 2-cycle that element's two neighbors are one cell, so the
+        # uncovered line never activates and the clause does not apply.
+        return (self.m >= 3 and self.height == self.m - 1) or (
+            self.n >= 3 and self.width == self.n - 1
+        )
 
     def rows(self) -> list[int]:
         return [(self.row0 + i) % self.m for i in range(self.height)]
@@ -380,143 +397,62 @@ def detect_zebras(cfg: TorusConfig, width: int = 2) -> list[Rect]:
     return out
 
 
-@dataclass
-class MajorityPartition:
-    """The four-part partition underlying Majority stability."""
+def majority_structure_check(cfg: TorusConfig) -> bool:
+    """True iff no cell is unstable and the partition meets R1, R3, R4 and
+    R5 of the module docstring, which says why the others need no check.
 
-    p0: list[set[Cell]]
-    p1: list[set[Cell]]
-    p2: list[set[Cell]]
-    p3: list[set[Cell]]
+    `fixed0`/`fixed1` are P0/P1 and `chess` is P2; `zebra` labels P3, a band
+    of `detect_zebras` joining in its order when all its cells toggle and
+    none is already in P3.  Neighbors are counted once on degenerate tori.
 
-    def parts(self) -> list[tuple[int, set[Cell]]]:
-        out = []
-        for beta, group in enumerate((self.p0, self.p1, self.p2, self.p3)):
-            out.extend((beta, c) for c in group)
-        return out
-
-
-def majority_partition(cfg: TorusConfig) -> Optional[MajorityPartition]:
-    """Build the canonical partition, or None if any cell is unstable.
-
-    P0/P1 are the maximal connected fixed monochromatic sets, P3 the toggling
-    width-2 zebras, and P2 the maximal connected toggling sets outside P3.
+    The checked requirements never reject once no cell is unstable, which
+    alone is Thr^2(sigma) = sigma.  R4 and R5 follow from the rule: a
+    toggling cell has at most one neighbor in its own state before each of
+    its flips, so the outer neighbor of a zebra cell toggles in the opposite
+    state.  R1 and R3 follow from the characterization, which the oracle
+    tests confirm on every torus with at most 12 cells.
     """
     m, n = cfg.shape
+    a = cfg.a
     kinds = classify_cells(cfg, MAJORITY)
     if (kinds == 2).any():
-        return None
-    fixed = kinds == 0
+        return False
+    toggling = kinds == 1
+    fixed0 = ~toggling & (a == 0)
+    fixed1 = ~toggling & (a == 1)
+    zebra = np.full((m, n), -1)
+    for label, rect in enumerate(detect_zebras(cfg, width=2)):
+        band = np.ix_(rect.rows(), rect.cols())
+        if toggling[band].all() and (zebra[band] < 0).all():
+            zebra[band] = label
+    chess = toggling & (zebra < 0)
+    offsets = von_neumann_offsets(m, n)
 
-    p0: list[set[Cell]] = []
-    p1: list[set[Cell]] = []
-    for beta in (0, 1):
-        cells = {
-            (int(i), int(j)) for i, j in zip(*np.nonzero(fixed & (cfg.a == beta)))
-        }
-        (p0 if beta == 0 else p1).extend(_components(cells, partial(von_neumann, m, n)))
+    def count(mask: np.ndarray) -> np.ndarray:
+        return neighbor_sum(mask.view(np.uint8), offsets)
 
-    toggling = {(int(i), int(j)) for i, j in zip(*np.nonzero(kinds == 1))}
-    p3: list[set[Cell]] = []
-    p3_cells: set[Cell] = set()
-    for rect in detect_zebras(cfg, width=2):
-        cells = rect.cells()
-        if cells <= toggling and not (cells & p3_cells):
-            p3.append(cells)
-            p3_cells |= cells
-    p2 = _components(toggling - p3_cells, partial(von_neumann, m, n))
-    return MajorityPartition(p0, p1, p2, p3)
+    # R1 for P2.
+    if (chess & (count(chess) == 0)).any():
+        return False
+    for di, dj in offsets:
+        if (chess & shifted(chess, di, dj) & (a == shifted(a, di, dj))).any():
+            return False
 
-
-def majority_structure_check(cfg: TorusConfig) -> bool:
-    """True iff the canonical partition exists and satisfies requirements 1-5."""
-    m, n = cfg.shape
-    a = cfg.a
-    part = majority_partition(cfg)
-    if part is None:
+    # R3.
+    near0, near1 = count(fixed0), count(fixed1)
+    chess0, chess1 = count(chess & (a == 0)), count(chess & (a == 1))
+    outside = len(offsets) - np.where(a == 1, near1, near0)
+    sees = np.where(outside == 3, (chess0 >= 1) & (chess1 >= 1), (chess0 == 2) & (chess1 == 2))
+    if (~toggling & (outside >= 3) & ~sees).any():
         return False
 
-    owner: dict[Cell, tuple[int, int]] = {}
-    groups = [part.p0, part.p1, part.p2, part.p3]
-    for beta, group in enumerate(groups):
-        for idx, cells in enumerate(group):
-            for c in cells:
-                owner[c] = (beta, idx)
-    if len(owner) != m * n:
+    # R4.
+    if (chess & ((near0 > 1) | (near1 > 1))).any():
         return False
 
-    def is_chessboard_set(cells: set[Cell]) -> bool:
-        if len(cells) < 2:
-            return False
-        for c in cells:
-            for nb in von_neumann(m, n, c):
-                if nb in cells and a[nb] == a[c]:
-                    return False
-        return True
-
-    # Requirement 1: part kinds.
-    for cells in part.p0:
-        if any(a[c] != 0 for c in cells):
-            return False
-    for cells in part.p1:
-        if any(a[c] != 1 for c in cells):
-            return False
-    for cells in part.p2:
-        if not is_chessboard_set(cells):
-            return False
-    # P3 members come from detect_zebras, so requirement 1 holds for them.
-
-    # Requirement 2: for beta in {0,1,2}, no two same-collection sets adjacent.
-    for beta in (0, 1, 2):
-        for idx, cells in enumerate(groups[beta]):
-            for c in cells:
-                for nb in von_neumann(m, n, c):
-                    ob, oi = owner[nb]
-                    if ob == beta and oi != idx:
-                        return False
-
-    p2_union = set().union(*part.p2) if part.p2 else set()
-    p0_union = set().union(*part.p0) if part.p0 else set()
-    p1_union = set().union(*part.p1) if part.p1 else set()
-
-    # Requirement 3: monochromatic cells with 3 (4) outside neighbors see
-    # both (exactly two of each) chessboard states among them.
-    for group in (part.p0, part.p1):
-        for cells in group:
-            for c in cells:
-                outside = [nb for nb in von_neumann(m, n, c) if nb not in cells]
-                if len(outside) < 3:
-                    continue
-                in_p2 = [nb for nb in outside if nb in p2_union]
-                zeros = sum(1 for nb in in_p2 if a[nb] == 0)
-                ones = sum(1 for nb in in_p2 if a[nb] == 1)
-                if len(outside) == 3:
-                    if zeros < 1 or ones < 1:
-                        return False
-                else:
-                    if zeros != 2 or ones != 2:
-                        return False
-
-    # Requirement 4: chessboard cells adjacent to at most one P0 cell and at
-    # most one P1 cell.
-    for cells in part.p2:
-        for c in cells:
-            nbs = von_neumann(m, n, c)
-            if sum(1 for nb in nbs if nb in p0_union) > 1:
-                return False
-            if sum(1 for nb in nbs if nb in p1_union) > 1:
-                return False
-
-    # Requirement 5: every zebra cell has an opposite-state neighbor in some
-    # other toggling set (union reading of P2 and P3).
-    for idx, cells in enumerate(part.p3):
-        for c in cells:
-            ok = False
-            for nb in von_neumann(m, n, c):
-                ob, oi = owner[nb]
-                if ob in (2, 3) and (ob, oi) != (3, idx) and a[nb] != a[c]:
-                    ok = True
-                    break
-            if not ok:
-                return False
-    return True
+    # R5.
+    other = np.zeros((m, n), dtype=bool)
+    for di, dj in offsets:
+        across = shifted(a, di, dj) != a
+        other |= across & shifted(toggling, di, dj) & (shifted(zebra, di, dj) != zebra)
+    return not ((zebra >= 0) & ~other).any()

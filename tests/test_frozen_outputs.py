@@ -10,6 +10,7 @@ stored as one sha256 over its rows; every other family row by row.
 
 Re-record only after an intended output change:
     PYTHONPATH=src python tests/test_frozen_outputs.py
+which first prints every row that differs from the stored one.
 """
 
 import hashlib
@@ -181,5 +182,34 @@ def test_stabilize_rows_unchanged():
             assert json.loads(json.dumps(stabilize_row(*case))) == row, (family, idx)
 
 
+def summary(section: str, row) -> str:
+    """A row's verdict: result and witness kind of a structure row, output
+    digest and modification count of a stabilize row."""
+    if section == "structure":
+        return f"{row[0]['result']} {row[0]['witness_kind']}"
+    return f"{row[1][:12]} modified={row[2]['modified']['total']}"
+
+
+def changed_rows(old: dict, new: dict) -> list[str]:
+    """One line per row of `new` (as read back from JSON) that differs from
+    `old`, with the old and new verdicts; the 4x4 family by its digest."""
+    lines = []
+    for section, families in new.items():
+        for family, rows in families.items():
+            before = old[section].get(family) or []
+            if family == "all-4x4-sha256":
+                if rows != before:
+                    lines.append(f"{section} {family}: {before} -> {rows}")
+                continue
+            for idx, row in enumerate(rows):
+                was = before[idx] if idx < len(before) else None
+                if row != was:
+                    old_verdict = "missing" if was is None else summary(section, was)
+                    lines.append(f"{section} {family}[{idx}]: {old_verdict} -> {summary(section, row)}")
+    return lines
+
+
 if __name__ == "__main__":
-    TABLE.write_text(json.dumps(compute_table(), separators=(",", ":")) + "\n")
+    new = json.loads(json.dumps(compute_table()))
+    print("\n".join(changed_rows(json.loads(TABLE.read_text()), new)) or "no row changed")
+    TABLE.write_text(json.dumps(new, separators=(",", ":")) + "\n")

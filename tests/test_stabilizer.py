@@ -261,6 +261,13 @@ class TestFixBox:
 
 
 class TestStabilize:
+    def test_params_with_other_eps_rejected(self):
+        cfg = TorusConfig.zeros(8, 8)
+        with pytest.raises(ValueError):
+            stabilize(cfg, 0.1, StabilizerParams(eps=0.5))
+        out, _ = stabilize(cfg, 0.5, StabilizerParams(eps=0.5, c2=3))
+        assert out == cfg
+
     def test_all_zero_untouched(self):
         cfg = TorusConfig.zeros(16, 16)
         out, report = stabilize(cfg, 0.1)

@@ -16,7 +16,6 @@ from torustab.structure import (
     chess_components,
     component_distance,
     detect_zebras,
-    majority_partition,
     majority_structure_check,
     mono_components,
     rect_distance,
@@ -114,6 +113,8 @@ class TestRect:
         assert Rect(5, 8, 0, 4, 0, 3).almost_wraparound  # height m-1
         assert Rect(5, 8, 2, 1, 1, 7).almost_wraparound  # width n-1
         assert not Rect(5, 8, 0, 5, 0, 3).almost_wraparound
+        assert not Rect(2, 8, 0, 1, 0, 3).almost_wraparound  # a 2-cycle never
+        assert not Rect(5, 2, 0, 3, 0, 1).almost_wraparound
 
 
 class TestComponents:
@@ -306,16 +307,25 @@ class TestMajorityCheck:
         a = (np.indices((10, 12)).sum(axis=0) % 2).astype(np.uint8)
         assert majority_structure_check(TorusConfig(a))
 
-    def test_partition_none_when_unstable(self):
-        a = np.zeros((6, 6), np.uint8)
-        a[2, 2] = 1
-        a[2, 3] = 1
-        assert majority_partition(TorusConfig(a)) is None
 
-    def test_partition_covers_grid(self):
-        a = np.zeros((12, 12), np.uint8)
-        a[3:6, :] = 1
-        part = majority_partition(TorusConfig(a))
-        assert part is not None
-        total = sum(len(c) for _, c in part.parts())
-        assert total == 144
+def all_small_tori(max_cells: int):
+    """Every configuration on every torus with m * n <= max_cells, one
+    (count, m, n) array per shape."""
+    for m in range(1, max_cells + 1):
+        for n in range(1, max_cells // m + 1):
+            codes = np.arange(1 << (m * n), dtype=np.uint32)
+            bits = (codes[:, None] >> np.arange(m * n)) & 1
+            yield bits.astype(np.uint8).reshape(-1, m, n)
+
+
+def test_both_checks_match_oracle_on_every_small_torus():
+    """Degenerate shapes included: 1 x n, 2 x n (where an uncovered line
+    has one distinct neighbor across) and their transposes."""
+    total = 0
+    for grids in all_small_tori(12):
+        for g in grids:
+            cfg = TorusConfig(g)
+            assert thr2_structure_check(cfg).ok == is_stable(cfg, THR2), cfg.to_text()
+            assert majority_structure_check(cfg) == is_stable(cfg, MAJORITY), cfg.to_text()
+        total += len(grids)
+    assert total == 35_978
