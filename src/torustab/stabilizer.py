@@ -226,14 +226,6 @@ def _box_violations(view, box: BoundingBox, alpha: float) -> Optional[int]:
     return v
 
 
-def alpha_good(view, cell: Cell, k: int, alpha: float) -> Optional[BoundingBox]:
-    """The cell's bounding box if it exists and is alpha-good, else None."""
-    box = cross_region(view, cell, k)
-    if box is None:
-        return None
-    return box if _box_violations(view, box, alpha) is not None else None
-
-
 def _canon_key(rect: Rect, kind: str):
     r0 = 0 if rect.height == rect.m else rect.row0
     c0 = 0 if rect.width == rect.n else rect.col0
@@ -277,11 +269,6 @@ def _collect_good_boxes(view, k: int, alpha: float) -> list[tuple[BoundingBox, i
         if not strictly_inside:
             keep.append((b, v))
     return keep
-
-
-def maximal_good_boxes(view, k: int, alpha: float) -> list[BoundingBox]:
-    """The maximal alpha-good bounding boxes of sigma#."""
-    return [b for b, _ in _collect_good_boxes(view, k, alpha)]
 
 
 def _compatible_boxes(
@@ -342,13 +329,6 @@ def _fix_box_inplace(a: np.ndarray, box: BoundingBox, anchor_val: int) -> int:
             a[cell] = want
             count += 1
     return count
-
-
-def fix_box(cfg: TorusConfig, box: BoundingBox) -> tuple[TorusConfig, int]:
-    """Repair a box that is far from every wraparound line."""
-    a = cfg.a.copy()
-    count = _fix_box_inplace(a, box, cfg[box.anchor])
-    return TorusConfig(a), count
 
 
 def _fix_box_near_w_inplace(

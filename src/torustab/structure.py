@@ -11,22 +11,12 @@ Threshold-2: a configuration is stable iff
   4. no cell outside all components is adjacent to two state-0 chessboard
      cells (which toggle to 1 in unison and would activate it).
 
-Majority: a configuration is stable iff no cell is unstable and its cells
-split into fixed state-0 cells (P0), fixed state-1 cells (P1), toggling
-chessboard cells (P2) and toggling width-2 zebra wraparound bands (P3),
-subject to local adjacency requirements.  `majority_structure_check` holds
-the partition as whole-grid masks and checks these requirements, each as a
-neighbor count or shifted comparison:
-  R1  every P2 cell has a P2 neighbor, and no two adjacent P2 cells share a
-      state;
-  R3  a P0 (P1) cell with 3 (4) neighbors outside P0 (P1) sees at least one
-      (exactly two) P2 cells of each state among them;
-  R4  no P2 cell has two P0 neighbors or two P1 neighbors;
-  R5  every P3 cell has an opposite-state P2 neighbor or one in another band.
-Not checked, as they hold by construction: R1 for P0/P1 (each is cut from
-cells of one state), R2, that no two sets of one part are adjacent (two
-connected pieces of one mask never are, as adjacency is symmetric), and the
-cover of the grid (once no cell is unstable, each is fixed or toggling).
+Majority: a configuration is stable iff its cells split into fixed state-0
+cells (P0), fixed state-1 cells (P1), toggling chessboard cells (P2) and
+toggling width-2 zebra wraparound bands (P3), subject to local adjacency
+requirements R1-R5.  Such a split exists on every configuration with no
+unstable cell, so `majority_structure_check` tests only that and does not
+build the partition.
 """
 
 from __future__ import annotations
@@ -42,7 +32,7 @@ from .grid import (
     MAJORITY,
     Cell,
     TorusConfig,
-    classify_cells,
+    is_stable,
     neighbor_sum,
     shifted,
     von_neumann,
@@ -109,7 +99,6 @@ class Component:
 
     kind: str  # MONO or CHESS
     cells: set[Cell]
-    state: Optional[int] = None  # for MONO components
     rect: Optional[Rect] = field(default=None)
     # True when the set contains an adjacent same-state pair, which violates
     # the alternation requirement of chessboard components.
@@ -171,14 +160,14 @@ def as_rect(m: int, n: int, cells: set[Cell]) -> Optional[Rect]:
     return Rect(m, n, ri[0], ri[1], ci[0], ci[1])
 
 
-def mono_components(cfg: TorusConfig, beta: int) -> list[Component]:
-    """Connected components of state-beta cells having at least 2 cells."""
+def mono_components(cfg: TorusConfig) -> list[Component]:
+    """Connected components of state-1 cells having at least 2 cells."""
     m, n = cfg.shape
-    cells = {(int(i), int(j)) for i, j in zip(*np.nonzero(cfg.a == beta))}
+    cells = {(int(i), int(j)) for i, j in zip(*np.nonzero(cfg.a))}
     out = []
     for comp in _components(cells, partial(von_neumann, m, n)):
         if len(comp) >= 2:
-            out.append(Component(MONO, comp, state=beta, rect=as_rect(m, n, comp)))
+            out.append(Component(MONO, comp, rect=as_rect(m, n, comp)))
     return out
 
 
@@ -310,7 +299,7 @@ class Verdict:
 def thr2_structure_check(cfg: TorusConfig) -> Verdict:
     """Check the Threshold-2 structural requirements; witness on violation."""
     m, n = cfg.shape
-    xs = mono_components(cfg, 1)
+    xs = mono_components(cfg)
     for comp in xs:
         if comp.rect is None:
             return Verdict(False, "thr2-structure", "non-rectangle-mono", sorted(comp.cells)[:8])
@@ -360,99 +349,10 @@ def thr2_structure_check(cfg: TorusConfig) -> Verdict:
     return Verdict(True, "thr2-structure")
 
 
-def detect_zebras(cfg: TorusConfig, width: int = 2) -> list[Rect]:
-    """All width-k zebra wraparound rectangles, in both orientations.
-
-    A zebra band wraps a full cyclic dimension; along the wrapping direction
-    each line is monochromatic, and across it each line alternates.
-    """
-    if width < 1:
-        raise ValueError("width must be >= 1")
-    m, n = cfg.shape
-    a = cfg.a
-    out: list[Rect] = []
-    seen: set[frozenset[Cell]] = set()
-
-    def emit(rect: Rect) -> None:
-        key = frozenset(rect.cells())
-        if key not in seen:
-            seen.add(key)
-            out.append(rect)
-
-    # m x width bands: columns c..c+width-1; each row of the band monochromatic,
-    # each column a chessboard set (requires even m for the vertical cycle).
-    if m % 2 == 0 and width <= n:
-        for c in range(n):
-            cols = [(c + d) % n for d in range(width)]
-            band = a[:, cols]
-            if (band == band[:, :1]).all() and (band[1:] != band[:-1]).all() and band[0, 0] != band[-1, 0]:
-                emit(Rect(m, n, 0, m, c, width))
-    # width x n bands, transposed reading.
-    if n % 2 == 0 and width <= m:
-        for r in range(m):
-            rows = [(r + d) % m for d in range(width)]
-            band = a[rows, :]
-            if (band == band[:1, :]).all() and (band[:, 1:] != band[:, :-1]).all() and band[0, 0] != band[0, -1]:
-                emit(Rect(m, n, r, width, 0, n))
-    return out
-
-
 def majority_structure_check(cfg: TorusConfig) -> bool:
-    """True iff no cell is unstable and the partition meets R1, R3, R4 and
-    R5 of the module docstring, which says why the others need no check.
+    """True iff the configuration is Majority stable.
 
-    `fixed0`/`fixed1` are P0/P1 and `chess` is P2; `zebra` labels P3, a band
-    of `detect_zebras` joining in its order when all its cells toggle and
-    none is already in P3.  Neighbors are counted once on degenerate tori.
-
-    The checked requirements never reject once no cell is unstable, which
-    alone is Thr^2(sigma) = sigma.  R4 and R5 follow from the rule: a
-    toggling cell has at most one neighbor in its own state before each of
-    its flips, so the outer neighbor of a zebra cell toggles in the opposite
-    state.  R1 and R3 follow from the characterization, which the oracle
-    tests confirm on every torus with at most 12 cells.
+    The characterization of the module docstring holds on every
+    configuration with no unstable cell, so only that test can reject.
     """
-    m, n = cfg.shape
-    a = cfg.a
-    kinds = classify_cells(cfg, MAJORITY)
-    if (kinds == 2).any():
-        return False
-    toggling = kinds == 1
-    fixed0 = ~toggling & (a == 0)
-    fixed1 = ~toggling & (a == 1)
-    zebra = np.full((m, n), -1)
-    for label, rect in enumerate(detect_zebras(cfg, width=2)):
-        band = np.ix_(rect.rows(), rect.cols())
-        if toggling[band].all() and (zebra[band] < 0).all():
-            zebra[band] = label
-    chess = toggling & (zebra < 0)
-    offsets = von_neumann_offsets(m, n)
-
-    def count(mask: np.ndarray) -> np.ndarray:
-        return neighbor_sum(mask.view(np.uint8), offsets)
-
-    # R1 for P2.
-    if (chess & (count(chess) == 0)).any():
-        return False
-    for di, dj in offsets:
-        if (chess & shifted(chess, di, dj) & (a == shifted(a, di, dj))).any():
-            return False
-
-    # R3.
-    near0, near1 = count(fixed0), count(fixed1)
-    chess0, chess1 = count(chess & (a == 0)), count(chess & (a == 1))
-    outside = len(offsets) - np.where(a == 1, near1, near0)
-    sees = np.where(outside == 3, (chess0 >= 1) & (chess1 >= 1), (chess0 == 2) & (chess1 == 2))
-    if (~toggling & (outside >= 3) & ~sees).any():
-        return False
-
-    # R4.
-    if (chess & ((near0 > 1) | (near1 > 1))).any():
-        return False
-
-    # R5.
-    other = np.zeros((m, n), dtype=bool)
-    for di, dj in offsets:
-        across = shifted(a, di, dj) != a
-        other |= across & shifted(toggling, di, dj) & (shifted(zebra, di, dj) != zebra)
-    return not ((zebra >= 0) & ~other).any()
+    return is_stable(cfg, MAJORITY)

@@ -23,6 +23,7 @@ from .grid import (
     Cell,
     Rule,
     TorusConfig,
+    classify_cells,
     cyclic_distance,
     double_step_cell,
     is_stable,
@@ -233,7 +234,9 @@ def _window_consistent(oracle, cell: Cell, axis: str, parity: int) -> bool:
         def pos(dpos: int) -> int:
             return (r + dpos) % m
 
-    if length % 2 != 0:
+    # An alternating line needs an even length; on a 2-cycle its 0 cell has
+    # a single distinct 1 neighbor, so the line does not toggle.
+    if length % 2 != 0 or length < 4:
         return False
     # The line itself must carry the exact alternating pattern in the window.
     for dpos in range(-3, 4):
@@ -273,7 +276,7 @@ def classify_wraparound(oracle, cell: Cell) -> WraparoundFlags:
 def _row_wraparound_planes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The even and odd row flags of `_window_consistent` for every cell."""
     m, n = a.shape
-    if n % 2 != 0:
+    if n % 2 != 0 or n < 4:
         return np.zeros((m, n), dtype=bool), np.zeros((m, n), dtype=bool)
 
     one = a == 1
@@ -651,8 +654,6 @@ def _cell_stable(oracle: QueryOracle, cell: Cell) -> bool:
 
 
 def _find_unstable_cell(cfg: TorusConfig) -> Cell:
-    from .grid import classify_cells
-
     kinds = classify_cells(cfg, THR2)
     bad = np.argwhere(kinds == 2)
     if len(bad) == 0:

@@ -1,12 +1,15 @@
-"""Reference helpers for the tests: brute-force torus distances and balls.
+"""Reference helpers for the tests: brute-force torus distances and balls,
+and every configuration of every small torus.
 
 These have no caller in the package; the tests use them as independent
-oracles for neighborhood-shaped reads and rings.
+oracles for neighborhood-shaped reads and rings, and as exhaustive inputs.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
+
+import numpy as np
 
 from torustab.grid import Cell, cyclic_distance
 
@@ -48,3 +51,13 @@ def neighborhood(
     if r == 0:
         return ball(0)
     return ball(r) - ball(r - 1)
+
+
+def all_small_tori(max_cells: int):
+    """Every configuration on every torus with m * n <= max_cells, one
+    (count, m, n) array per shape."""
+    for m in range(1, max_cells + 1):
+        for n in range(1, max_cells // m + 1):
+            codes = np.arange(1 << (m * n), dtype=np.uint32)
+            bits = (codes[:, None] >> np.arange(m * n)) & 1
+            yield bits.astype(np.uint8).reshape(-1, m, n)

@@ -126,6 +126,11 @@ class TestStabilize:
         payload = json.loads(res.stderr.strip().split("\n")[-1])
         assert payload["modified"]["total"] == 0
 
+    def test_side_of_two(self, runner):
+        res = runner.invoke(main, ["stabilize", "--eps", "0.5"], input="2 2\n10\n00\n")
+        assert res.exit_code == 0, res.output
+        assert is_stable(TorusConfig.from_text(res.stdout), THR2)
+
 
 class TestGen:
     def test_stable_instance_roundtrip(self, runner):

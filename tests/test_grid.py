@@ -1,5 +1,7 @@
 """Tests for the torus grid core against independent hand-rolled oracles."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -280,18 +282,25 @@ class TestGridText:
         assert TorusConfig.from_text(cfg.to_text()) == cfg
 
     @pytest.mark.parametrize(
-        "text",
+        "text, message",
         [
-            "2 3\n011\n100",  # missing trailing newline
-            "2 3\n011\n1000\n",  # wrong row width
-            "2 3\n011\n100\n\n",  # trailing blank line
-            "2 3\n011\n102\n",  # bad character
-            "2\n01\n10\n",  # bad header
-            "3 3\n011\n100\n",  # row count mismatch
+            pytest.param(text, message, id=text or "empty")
+            for text, message in [
+                ("2 3\n011\n100", "grid text must end with a newline"),
+                ("2 3\n011\n1000\n", "bad grid row: '1000'"),  # wrong row width
+                ("2 3\n011\n100\n\n", "expected 2 rows, got 3"),  # trailing blank line
+                ("2 3\n011\n102\n", "bad grid row: '102'"),  # bad character
+                ("2\n01\n10\n", "bad header line: '2'"),
+                ("3 3\n011\n100\n", "expected 3 rows, got 2"),
+                ("", "empty grid text"),
+                ("2 x\n01\n10\n", "bad header line: '2 x'"),  # non-integer header
+                ("0 2\n", "dimensions must be positive"),
+                ("2 2 2\n01\n10\n", "bad header line: '2 2 2'"),  # three fields
+            ]
         ],
     )
-    def test_strict_rejects(self, text):
-        with pytest.raises(ValueError):
+    def test_strict_rejects(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             TorusConfig.from_text(text)
 
     def test_non_binary_rejected(self):

@@ -15,15 +15,25 @@ from torustab.grid import is_cell_stable
 from torustab.stabilizer import (
     NoMajorityClass,
     StabilizerParams,
-    alpha_good,
+    _box_violations,
+    _collect_good_boxes,
+    _fix_box_inplace,
     alpha_wraparound_rows,
-    fix_box,
     fix_wraparound_row,
-    maximal_good_boxes,
     rectangulate_exempt,
     stabilize,
 )
-from torustab.tester import classify_plus_kind, interior_violation
+from torustab.tester import classify_plus_kind, cross_region, interior_violation
+
+from grid_reference import all_small_tori
+
+
+def alpha_good(view, cell, k, alpha):
+    """The cell's bounding box if it exists and is alpha-good, else None."""
+    box = cross_region(view, cell, k)
+    if box is None or _box_violations(view, box, alpha) is None:
+        return None
+    return box
 
 
 def all_4x4():
@@ -208,7 +218,7 @@ class TestMaximalGoodBoxes:
         a = np.zeros((24, 24), np.uint8)
         a[2:4, 2:5] = 1
         a[14:17, 12:16] = 1
-        boxes = maximal_good_boxes(TorusConfig(a), 6, 0.1)
+        boxes = [b for b, _ in _collect_good_boxes(TorusConfig(a), 6, 0.1)]
         rects = sorted((b.rect.row0, b.rect.col0, b.rect.height, b.rect.width) for b in boxes)
         assert rects == [(2, 2, 2, 3), (14, 12, 3, 4)]
 
@@ -219,7 +229,7 @@ class TestMaximalGoodBoxes:
             n = int(rng.integers(6, 14))
             cfg = TorusConfig((rng.random((m, n)) < 0.35).astype(np.uint8))
             view = TorusConfig(rectangulate_exempt(cfg.a.copy(), 5, []))
-            boxes = maximal_good_boxes(view, 5, 0.2)
+            boxes = [b for b, _ in _collect_good_boxes(view, 5, 0.2)]
             for i, b1 in enumerate(boxes):
                 for b2 in boxes[i + 1 :]:
                     assert not (set(b1.rect.cells()) & set(b2.rect.cells()))
@@ -234,17 +244,16 @@ class TestFixBox:
         view = TorusConfig(a)
         box = alpha_good(view, (5, 5), 6, 0.2)
         assert box is not None
-        out, count = fix_box(TorusConfig(a), box)
-        assert count == 2
-        assert out.a[5:9, 5:10].all()
+        out = a.copy()
+        assert _fix_box_inplace(out, box, a[box.anchor]) == 2
+        assert out[5:9, 5:10].all()
 
     def test_clean_box_zero_count(self):
         a = np.zeros((20, 20), np.uint8)
         a[5:8, 5:9] = 1
         view = TorusConfig(a)
         box = alpha_good(view, (5, 5), 6, 0.1)
-        _, count = fix_box(TorusConfig(a), box)
-        assert count == 0
+        assert _fix_box_inplace(a.copy(), box, a[box.anchor]) == 0
 
     def test_chess_repair_clears_violations(self):
         a = np.zeros((20, 20), np.uint8)
@@ -255,9 +264,9 @@ class TestFixBox:
         view = TorusConfig(a)
         box = alpha_good(view, (5, 6), 6, 0.2)
         assert box is not None and box.kind == "chess"
-        out, count = fix_box(TorusConfig(a), box)
-        assert count == 1
-        assert not any(interior_violation(out, box, c) for c in box.rect.cells())
+        out = a.copy()
+        assert _fix_box_inplace(out, box, a[box.anchor]) == 1
+        assert not any(interior_violation(TorusConfig(out), box, c) for c in box.rect.cells())
 
 
 class TestStabilize:
@@ -277,6 +286,15 @@ class TestStabilize:
         for grid in all_4x4():
             out, _ = stabilize(TorusConfig(grid), 0.25)
             assert is_stable(out, THR2)
+
+    def test_every_small_torus_postcondition(self):
+        """Sides of 1 and 2 included: on a 2-cycle an alternating line does
+        not toggle, so Step 1 must not take it for a wraparound."""
+        for grids in all_small_tori(10):
+            for grid in grids:
+                for eps in (0.5, 1.0):
+                    out, _ = stabilize(TorusConfig(grid), eps)
+                    assert is_stable(out, THR2), (TorusConfig(grid).to_text(), eps)
 
     def test_random_64x64_postcondition(self):
         rng = np.random.default_rng(31)

@@ -15,12 +15,13 @@ from torustab.structure import (
     as_rect,
     chess_components,
     component_distance,
-    detect_zebras,
     majority_structure_check,
     mono_components,
     rect_distance,
     thr2_structure_check,
 )
+
+from grid_reference import all_small_tori
 
 
 def cfg_from(rows: list[str]) -> TorusConfig:
@@ -120,18 +121,18 @@ class TestRect:
 class TestComponents:
     def test_mono_requires_two_cells(self):
         cfg = cfg_from(["00000", "00100", "00000", "00000", "00000"])
-        assert mono_components(cfg, 1) == []
+        assert mono_components(cfg) == []
 
     def test_mono_domino(self):
         cfg = cfg_from(["00000", "01100", "00000", "00000", "00000"])
-        comps = mono_components(cfg, 1)
+        comps = mono_components(cfg)
         assert len(comps) == 1
         assert comps[0].cells == {(1, 1), (1, 2)}
         assert comps[0].rect is not None
 
     def test_mono_wraps(self):
         cfg = cfg_from(["10001", "10001", "00000", "00000"])
-        comps = mono_components(cfg, 1)
+        comps = mono_components(cfg)
         assert len(comps) == 1 and len(comps[0].cells) == 4
 
     def test_chess_rectangle_found(self):
@@ -261,34 +262,6 @@ class TestThr2Check:
         assert d["witness_cells"] == [[1, 1]]
 
 
-class TestZebras:
-    def test_horizontal_band(self):
-        a = np.zeros((8, 8), np.uint8)
-        a[2, :] = np.arange(8) % 2
-        a[3, :] = np.arange(8) % 2
-        zebras = detect_zebras(TorusConfig(a), 2)
-        assert len(zebras) == 1
-        z = zebras[0]
-        assert z.full_cols and z.height == 2 and z.rows() == [2, 3]
-
-    def test_vertical_band(self):
-        a = np.zeros((8, 8), np.uint8)
-        a[:, 5] = np.arange(8) % 2
-        a[:, 6] = np.arange(8) % 2
-        zebras = detect_zebras(TorusConfig(a), 2)
-        assert len(zebras) == 1 and zebras[0].full_rows
-
-    def test_odd_cycle_has_no_band(self):
-        a = np.zeros((8, 7), np.uint8)
-        a[2, :] = np.arange(7) % 2
-        a[3, :] = np.arange(7) % 2
-        assert detect_zebras(TorusConfig(a), 2) == []
-
-    def test_full_chessboard_is_not_a_width2_zebra(self):
-        a = (np.indices((8, 8)).sum(axis=0) % 2).astype(np.uint8)
-        assert detect_zebras(TorusConfig(a), 2) == []
-
-
 class TestMajorityCheck:
     def test_agrees_with_oracle_random(self):
         rng = np.random.default_rng(20240818)
@@ -306,16 +279,6 @@ class TestMajorityCheck:
     def test_full_chessboard_accepted(self):
         a = (np.indices((10, 12)).sum(axis=0) % 2).astype(np.uint8)
         assert majority_structure_check(TorusConfig(a))
-
-
-def all_small_tori(max_cells: int):
-    """Every configuration on every torus with m * n <= max_cells, one
-    (count, m, n) array per shape."""
-    for m in range(1, max_cells + 1):
-        for n in range(1, max_cells // m + 1):
-            codes = np.arange(1 << (m * n), dtype=np.uint32)
-            bits = (codes[:, None] >> np.arange(m * n)) & 1
-            yield bits.astype(np.uint8).reshape(-1, m, n)
 
 
 def test_both_checks_match_oracle_on_every_small_torus():

@@ -85,7 +85,7 @@ def def_wraparound_consistent(cfg, cell, axis, parity):
         if ext[:, (c - 1) % n].any() or ext[:, (c + 1) % n].any():
             return False
         line = {(i, c) for i in range(m)}
-    for comp in mono_components(TorusConfig(ext), 1):
+    for comp in mono_components(TorusConfig(ext)):
         d = min(
             _cyc(a, i, m) + _cyc(b, j, n)
             for (a, b) in comp.cells

@@ -1,4 +1,5 @@
-"""Every name a module in src/ or tests/ imports is used by that module.
+"""Every name a module in src/ or tests/ imports is used by that module,
+and every private module-level function in src/ is referenced by its module.
 
 Package `__init__.py` files are skipped: their imports are re-exports.
 """
@@ -38,5 +39,33 @@ def test_no_unused_imports():
         for path in files
         if path.name != "__init__.py"
         and (unused := unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def unreferenced_private_functions(source: str) -> list[str]:
+    """Module-level `_name` functions that the module never refers to."""
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        f"{node.name} (line {node.lineno})"
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+        and node.name not in used
+    ]
+
+
+def test_unreferenced_private_function_is_found():
+    source = "def _kept():\n    pass\n\ndef _planted():\n    pass\n\nx = _kept\n"
+    assert unreferenced_private_functions(source) == ["_planted (line 4)"]
+
+
+def test_no_unreferenced_private_functions():
+    found = {
+        str(path.relative_to(ROOT)): unused
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        if (unused := unreferenced_private_functions(path.read_text(encoding="utf-8")))
     }
     assert found == {}
