@@ -59,6 +59,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not (0 < self.eps <= 1):
             raise ValueError("eps must be in (0, 1]")
+        if self.algorithm == "naive" and self.sample_size < 1:
+            raise ValueError("sample_size must be >= 1")
 
 
 @dataclass
@@ -103,9 +105,12 @@ def _write_grid(cfg: TorusConfig, path: str | None) -> None:
     text = cfg.to_text()
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write output: {exc}")
 
 
 rule_option = click.option(
@@ -361,7 +366,10 @@ def bench(
     except ValueError as exc:
         raise click.UsageError(str(exc))
     records = [_run_trial(config, cfg, t) for t in range(trials)]
-    emit_csv(records, out)
+    try:
+        emit_csv(records, out)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write output: {exc}")
     rejected = sum(r.decision == "reject" for r in records)
     click.echo(f"{trials} trials, reject rate {rejected / trials:.3f}", err=True)
 

@@ -129,6 +129,10 @@ def gen_stable_majority(spec: GenSpec) -> TorusConfig:
     toggling cell.
     """
     m, n = spec.m, spec.n
+    if n < 3:
+        # Each layout keeps a cell fixed through its two row neighbours,
+        # which are distinct cells only on rows of 3 or more.
+        raise InfeasibleSpec("rows need at least 3 cells")
     rng = np.random.default_rng(spec.seed)
     if spec.zebra_bands > 0:
         if n % 2 != 0:

@@ -29,6 +29,7 @@ from .grid import (
     moore_offsets,
     neighbor_sum,
     von_neumann,
+    von_neumann_offsets,
 )
 from .structure import MONO, Rect, rect_distance
 from .tester import (
@@ -103,53 +104,27 @@ def _alpha_lines(planes, alpha: float):
     return lines(row_even, row_odd, n), lines(col_even.T, col_odd.T, m)
 
 
-def alpha_wraparound_rows(cfg: TorusConfig, alpha: float) -> tuple[list[int], list[int]]:
-    """Indices of alpha-wraparound-consistent rows and columns.
-
-    A line qualifies when at least a (1 - alpha) fraction of its cells are
-    wraparound consistent for a single parity class.
-    """
-    if not (0 < alpha < 0.5):
-        raise ValueError(f"alpha must be in (0, 1/2), got {alpha}")
-    rows, cols = _alpha_lines(wraparound_planes(cfg.a), alpha)
-    return [r for r, _ in rows], [c for c, _ in cols]
-
-
-def _fix_row_inplace(a: np.ndarray, r: int, anchor_col: int) -> set[Cell]:
-    """Make row r an exact chessboard wraparound; returns the changed cells.
+def _fix_row_inplace(a: np.ndarray, r: int, anchor_col: int) -> np.ndarray:
+    """Make row r an exact chessboard wraparound; returns the (m, n) mask of
+    the changed cells.
 
     The target pattern extends the anchor cell's parity; rows r+-1 are zeroed;
     in rows r+-2, cells that the pattern extension would activate are zeroed,
     and then (against a snapshot) all monochromatic cells there as well.
     """
     m, n = a.shape
-    changed: set[Cell] = set()
-
-    def put(i: int, j: int, v: int) -> None:
-        if a[i, j] != v:
-            a[i, j] = v
-            changed.add((i, j))
-
-    s0 = int(a[r, anchor_col])
-    for c in range(n):
-        put(r, c, ((c - anchor_col) % 2) ^ s0)
-    rows1 = {(r - 1) % m, (r + 1) % m} - {r}
-    for q in rows1:
-        for c in range(n):
-            put(q, c, 0)
-    rows2 = {(r - 2) % m, (r + 2) % m} - {r} - rows1
+    before = a.copy()
+    pattern = (np.arange(n) - anchor_col) % 2 ^ int(a[r, anchor_col])
+    a[r] = pattern
+    rows1 = list({(r - 1) % m, (r + 1) % m} - {r})
+    a[rows1] = 0
+    rows2 = list({(r - 2) % m, (r + 2) % m} - {r} - set(rows1))
     for q in rows2:
-        for c in range(n):
-            if ((c - anchor_col) % 2) ^ s0 == 1:
-                put(q, c, 0)
-    snap = a.copy()
+        a[q, pattern == 1] = 0
+    mono = (a == 1) & (neighbor_sum(a, von_neumann_offsets(m, n)) > 0)
     for q in rows2:
-        for c in range(n):
-            if snap[q, c] == 1 and any(
-                snap[p] == 1 for p in von_neumann(m, n, (q, c))
-            ):
-                put(q, c, 0)
-    return changed
+        a[q, mono[q]] = 0
+    return a != before
 
 
 def fix_wraparound_row(
@@ -181,7 +156,7 @@ def fix_wraparound_row(
         raise NoMajorityClass(f"no parity-{parity} consistent cell in row {r}")
     a = cfg.a.copy()
     changed = _fix_row_inplace(a, r, cols[0])
-    return TorusConfig(a), len(changed)
+    return TorusConfig(a), int(changed.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -337,84 +312,73 @@ def _fix_box_near_w_inplace(
     w_rows: list[int],
     wdist: list[int],
     anchor_val: int,
-    forced_zero: set[Cell],
 ) -> int:
-    """The repair procedure for boxes within distance 2 of wraparound rows.
+    """The repair procedure for boxes within distance 2 of wraparound rows;
+    returns the modified count.
 
     Mono boxes drop their cells at distance 2 from W and fill the rest, with
     extra trimming for width-one boxes.  Chessboard boxes re-pattern cells at
     distance 2 only where the pattern disagrees with the wraparound cell two
     rows away, then re-pattern the remainder unless a row ends up squeezed
-    between dead rows (which would leave an illegal one-row strip).
-    `wdist` gives each row's cyclic distance to W, and `forced_zero` holds
-    cells already zeroed by the wraparound repair.
+    between dead rows (which would leave an illegal one-row strip).  A row is
+    dead when it lies outside the box's rows, or when it is at distance 2
+    from W and the box's columns of it are all 0 after that first pass.
+    `wdist` gives each row's cyclic distance to W.
     """
     m, n = a.shape
     rect = box.rect
-    rows_set = set(rect.rows())
+    rows, cols = rect.rows(), rect.cols()
+    before = a[np.ix_(rows, cols)].copy()
     ring_rows = (
         set()
         if rect.height == m
         else {(rect.row0 - 1) % m, (rect.row0 + rect.height) % m}
     )
-    changed = 0
-    zero_now = set(forced_zero)
-
-    def put(cell: Cell, v: int, track: bool = False) -> None:
-        nonlocal changed
-        if a[cell] != v:
-            a[cell] = v
-            changed += 1
-            if track and v == 0:
-                zero_now.add(cell)
 
     def near_ring(i: int) -> bool:
         return any((i + d) % m in ring_rows for d in (-1, 1))
 
     if box.kind == MONO:
         for cell in rect.cells():
-            if wdist[cell[0]] == 2:
-                put(cell, 0, track=True)
-        for cell in rect.cells():
             i = cell[0]
+            if wdist[i] == 2:
+                a[cell] = 0
             if rect.width == 1:
                 g2 = sum(1 for p in von_neumann(m, n, cell) if wdist[p[0]] == 2)
                 if g2 >= 2 or (g2 == 1 and near_ring(i)):
-                    put(cell, 0)
+                    a[cell] = 0
                     continue
             if wdist[i] >= 3:
-                put(cell, 1)
-        return changed
+                a[cell] = 1
+    else:
+        for cell in rect.cells():
+            i, j = cell
+            if wdist[i] != 2:
+                continue
+            near_w = [r for r in w_rows if cyclic_distance(i, r, m) == 2]
+            if len(near_w) >= 2 or (len(near_w) == 1 and near_ring(i)):
+                a[cell] = 0
+            else:
+                v = box_pattern(box, anchor_val, cell)
+                if v != a[near_w[0], j]:
+                    a[cell] = v
 
-    for cell in rect.cells():
-        i, j = cell
-        if wdist[i] != 2:
-            continue
-        near_w = [r for r in w_rows if cyclic_distance(i, r, m) == 2]
-        if len(near_w) >= 2 or (len(near_w) == 1 and near_ring(i)):
-            put(cell, 0, track=True)
-        else:
-            partner = (near_w[0], j)
-            v = box_pattern(box, anchor_val, cell)
-            if v != a[partner]:
-                put(cell, v, track=True)
+        # `dead` reads `a` only on rows at distance 2, which the pass below
+        # leaves alone, so asking during the pass is asking before it.
+        def dead(q: int) -> bool:
+            q %= m
+            outside = (q - rect.row0) % m >= rect.height
+            return outside or (wdist[q] == 2 and not a[q, cols].any())
 
-    def dead(q: int) -> bool:
-        q %= m
-        if q not in rows_set:
-            return True
-        return all((q, c) in zero_now for c in rect.cols())
-
-    dead_memo = {q: dead(q) for q in range(m)}
-    for cell in rect.cells():
-        i = cell[0]
-        if wdist[i] <= 2:
-            continue
-        if dead_memo[(i - 1) % m] and dead_memo[(i + 1) % m]:
-            put(cell, 0)
-        else:
-            put(cell, box_pattern(box, anchor_val, cell))
-    return changed
+        for i in rows:
+            if wdist[i] <= 2:
+                continue
+            if dead(i - 1) and dead(i + 1):
+                a[i, cols] = 0
+            else:
+                for j in cols:
+                    a[i, j] = box_pattern(box, anchor_val, (i, j))
+    return int((a[np.ix_(rows, cols)] != before).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -511,18 +475,16 @@ def stabilize(
         if any(cyclic_distance(r, r2, m2) == 2 and p2 == p for r2, p2 in kept):
             continue
         kept.append((r, p))
-    step1_changed: set[Cell] = set()
+    step1_changed = np.zeros(work.shape, dtype=bool)
     for r, p in kept:
         step1_changed |= _fix_row_inplace(work, r, anchor_col(r, p))
     w_rows: list[int] = []
     for r, p in kept:
-        ok_row = all(work[r, c] == (1 if c % 2 == p else 0) for c in range(n2))
-        nb_rows = {(r - 1) % m2, (r + 1) % m2} - {r}
-        ok_nb = all(not work[q, :].any() for q in nb_rows)
-        if ok_row and ok_nb:
+        pattern = np.arange(n2) % 2 == p
+        nb_rows = [q % m2 for q in (r - 1, r + 1) if q % m2 != r]
+        if (work[r] == pattern).all() and not work[nb_rows].any():
             w_rows.append(r)
-    step1 = len(step1_changed)
-    forced_zero = {c for c in step1_changed if work[c] == 0}
+    step1 = int(step1_changed.sum())
 
     # Step 2.
     rectangulated = rectangulate_exempt(work, k, w_rows)
@@ -541,12 +503,8 @@ def stabilize(
             mod = _fix_box_inplace(work, box, anchor_val)
             d = 0
         else:
-            d = sum(
-                1
-                for c in box.rect.cells()
-                if wdist[c[0]] <= 2 and c in step1_changed
-            )
-            mod = _fix_box_near_w_inplace(work, box, w_rows, wdist, anchor_val, forced_zero)
+            d = sum(1 for c in box.rect.cells() if wdist[c[0]] <= 2 and step1_changed[c])
+            mod = _fix_box_near_w_inplace(work, box, w_rows, wdist, anchor_val)
         step3 += mod
         rep_box = box if use_rows else _transpose_box(box)
         box_stats.append(
@@ -561,11 +519,9 @@ def stabilize(
 
     # Step 4.
     keep = np.zeros(work.shape, dtype=bool)
-    for r in w_rows:
-        keep[r, :] = True
+    keep[w_rows] = True
     for box, _ in pairs:
-        for cell in box.rect.cells():
-            keep[cell] = True
+        keep[np.ix_(box.rect.rows(), box.rect.cols())] = True
     step4 = int((work[~keep] != 0).sum())
     work[~keep] = 0
 

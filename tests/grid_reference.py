@@ -1,8 +1,9 @@
 """Reference helpers for the tests: brute-force torus distances and balls,
-and every configuration of every small torus.
+every configuration of every small torus, and seeded stabilizer fuzz inputs.
 
 These have no caller in the package; the tests use them as independent
-oracles for neighborhood-shaped reads and rings, and as exhaustive inputs.
+oracles for neighborhood-shaped reads and rings, and as exhaustive or
+fuzzed inputs.
 """
 
 from __future__ import annotations
@@ -61,3 +62,29 @@ def all_small_tori(max_cells: int):
             codes = np.arange(1 << (m * n), dtype=np.uint32)
             bits = (codes[:, None] >> np.arange(m * n)) & 1
             yield bits.astype(np.uint8).reshape(-1, m, n)
+
+
+FUZZ_EPS = (0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0)
+
+
+def stabilizer_fuzz_inputs(seed: int, count: int):
+    """`count` seeded (grid, eps) pairs with sides 1-19 and eps in FUZZ_EPS.
+
+    Every third grid is uniform at a random density.  The others plant one
+    or two alternating lines on a random axis and flip 2-15 % of the cells,
+    so Step 1 repairs near-wraparounds next to Step 3 boxes.
+    """
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        m, n = (int(x) for x in rng.integers(1, 20, size=2))
+        eps = FUZZ_EPS[int(rng.integers(len(FUZZ_EPS)))]
+        if t % 3 == 0:
+            a = (rng.random((m, n)) < rng.random()).astype(np.uint8)
+        else:
+            a = np.zeros((m, n), np.uint8)
+            lines = a if rng.integers(2) == 0 else a.T
+            for _ in range(int(rng.integers(1, 3))):
+                r = int(rng.integers(lines.shape[0]))
+                lines[r] = (np.arange(lines.shape[1]) + rng.integers(2)) % 2
+            a ^= (rng.random((m, n)) < rng.uniform(0.02, 0.15)).astype(np.uint8)
+        yield a, eps

@@ -227,3 +227,77 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(instance="hard-thr2", n=16, eps=2.0, trials=1, seed=0)
         cfg = ExperimentConfig(instance="hard-thr2", n=16, eps=0.1, trials=1, seed=0)
+
+    def test_naive_sample_size_checked(self):
+        with pytest.raises(ValueError):
+            ExperimentConfig(
+                instance="hard-thr2", n=16, eps=0.1, trials=1, seed=0, algorithm="naive", sample_size=0
+            )
+
+
+class TestUsageErrors:
+    def test_naive_zero_sample_size(self, runner, tmp_path):
+        args = ["bench", "--instance", "hard-thr2", "--n", "12", "--algorithm", "naive"]
+        res = runner.invoke(main, args + ["--sample-size", "0", "--out", str(tmp_path / "r.csv")])
+        assert res.exit_code == 2 and "sample_size" in res.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["step"],
+            ["stabilize", "--eps", "0.5"],
+            ["gen", "--instance", "stable-thr2", "--n", "24"],
+            ["bench", "--instance", "hard-thr2", "--n", "12", "--trials", "1"],
+        ],
+    )
+    def test_unwritable_out(self, runner, tmp_path, args):
+        out = tmp_path / "missing" / "out"
+        res = runner.invoke(main, args + ["--out", str(out)], input=ALL_ZERO_8)
+        assert res.exit_code == 2 and "cannot write output" in res.output
+
+
+GRID_COMMANDS = [
+    ["step"],
+    ["step", "--rule", "maj", "--steps", "2"],
+    ["stable", "--json"],
+    ["structure", "--json"],
+    ["structure", "--rule", "maj"],
+    ["test", "--eps", "0.5", "--json"],
+    ["stabilize", "--eps", "0.5", "--json"],
+]
+
+MALFORMED_GRIDS = [
+    "",
+    "3 3\n",
+    "3 x\n000\n000\n000\n",
+    "0 3\n",
+    "-2 3\n000\n000\n",
+    "2 2\r\n01\r\n10\r\n",
+    "2 2\n01\n10",
+    "2 2\n01\n10\n11\n",
+]
+
+
+def test_fuzz_exit_codes(runner, tmp_path):
+    """Every command on small and malformed inputs exits 0, 1 or 2, never
+    with a traceback."""
+    rng = np.random.default_rng(17)
+    texts = [
+        grid_text(rng.integers(0, 2, (m, n), dtype=np.uint8))
+        for m in range(1, 8)
+        for n in range(1, 8)
+        for _ in range(3)
+    ]
+    runs = [(cmd, text) for text in texts + MALFORMED_GRIDS for cmd in GRID_COMMANDS]
+    for m in range(1, 8):
+        for n in range(1, 8):
+            for inst in ("stable-thr2", "stable-maj", "hard-thr2", "hard-maj"):
+                runs.append((["gen", "--instance", inst, "--n", str(n), "--m", str(m)], ""))
+        for inst in ("stable-thr2", "hard-thr2", "hard-maj"):
+            for alg in ("structural", "naive"):
+                bench = ["bench", "--instance", inst, "--n", str(m), "--eps", "0.5", "--trials", "1"]
+                runs.append((bench + ["--algorithm", alg, "--out", str(tmp_path / "r.csv")], ""))
+    for args, text in runs:
+        res = runner.invoke(main, args, input=text)
+        assert res.exit_code in (0, 1, 2), (args, text, res.output)
+        assert res.exception is None or isinstance(res.exception, SystemExit), (args, text)

@@ -72,6 +72,13 @@ class TestStableGenerators:
         with pytest.raises(InfeasibleSpec):
             gen_stable_majority(GenSpec(m=16, n=13, zebra_bands=4))
 
+    def test_majority_short_rows_rejected(self):
+        # On rows of one or two cells the stripes and bands are not stable.
+        for m in range(1, 9):
+            for n, bands in ((1, 0), (2, 0), (2, 1)):
+                with pytest.raises(InfeasibleSpec):
+                    gen_stable_majority(GenSpec(m=m, n=n, zebra_bands=bands))
+
 
 class TestHardInstances:
     def test_thr2_census_exact(self):

@@ -11,21 +11,22 @@ import pytest
 
 from torustab import THR2, TorusConfig, is_stable
 from torustab.generators import GenSpec, gen_hard_thr2, gen_stable_thr2, perturb
-from torustab.grid import is_cell_stable
+from torustab.grid import is_cell_stable, von_neumann
 from torustab.stabilizer import (
     NoMajorityClass,
     StabilizerParams,
+    _alpha_lines,
     _box_violations,
     _collect_good_boxes,
     _fix_box_inplace,
-    alpha_wraparound_rows,
+    _fix_row_inplace,
     fix_wraparound_row,
     rectangulate_exempt,
     stabilize,
 )
-from torustab.tester import classify_plus_kind, cross_region, interior_violation
+from torustab.tester import classify_plus_kind, cross_region, interior_violation, wraparound_planes
 
-from grid_reference import all_small_tori
+from grid_reference import all_small_tori, stabilizer_fuzz_inputs
 
 
 def alpha_good(view, cell, k, alpha):
@@ -72,6 +73,36 @@ def slow_rectangulate(a, k, w_rows):
     return out
 
 
+def slow_fix_row(a, r, anchor_col):
+    """Reference Step 1 row repair, cell by cell; returns the changed cells."""
+    m, n = a.shape
+    changed = set()
+
+    def put(i, j, v):
+        if a[i, j] != v:
+            a[i, j] = v
+            changed.add((i, j))
+
+    s0 = int(a[r, anchor_col])
+    for c in range(n):
+        put(r, c, ((c - anchor_col) % 2) ^ s0)
+    rows1 = {(r - 1) % m, (r + 1) % m} - {r}
+    for q in rows1:
+        for c in range(n):
+            put(q, c, 0)
+    rows2 = {(r - 2) % m, (r + 2) % m} - {r} - rows1
+    for q in rows2:
+        for c in range(n):
+            if ((c - anchor_col) % 2) ^ s0 == 1:
+                put(q, c, 0)
+    snap = a.copy()
+    for q in rows2:
+        for c in range(n):
+            if snap[q, c] == 1 and any(snap[p] == 1 for p in von_neumann(m, n, (q, c))):
+                put(q, c, 0)
+    return changed
+
+
 class TestParams:
     def test_defaults(self):
         p = StabilizerParams(eps=0.1)
@@ -88,20 +119,21 @@ class TestParams:
 
 
 class TestAlphaWraparoundRows:
+    """`_alpha_lines` on the wraparound planes: (index, parity) per line,
+    parity 0 meaning state-1 cells at even positions."""
+
     def test_all_zero(self):
-        assert alpha_wraparound_rows(TorusConfig.zeros(8, 8), 0.2) == ([], [])
+        assert _alpha_lines(wraparound_planes(np.zeros((8, 8), np.uint8)), 0.2) == ([], [])
 
     def test_perfect_row_listed(self):
         a = np.zeros((8, 8), np.uint8)
         a[2, :] = (np.arange(8) + 1) % 2
-        rows, cols = alpha_wraparound_rows(TorusConfig(a), 0.2)
-        assert rows == [2] and cols == []
+        assert _alpha_lines(wraparound_planes(a), 0.2) == ([(2, 0)], [])
 
     def test_perfect_column_listed(self):
         a = np.zeros((8, 8), np.uint8)
         a[:, 5] = (np.arange(8) + 1) % 2
-        rows, cols = alpha_wraparound_rows(TorusConfig(a), 0.2)
-        assert rows == [] and cols == [5]
+        assert _alpha_lines(wraparound_planes(a), 0.2) == ([], [(5, 0)])
 
     def test_one_corrupted_cell_on_wide_row(self):
         # Consistency is a window property: one bad cell invalidates every
@@ -110,14 +142,8 @@ class TestAlphaWraparoundRows:
         a = np.zeros((8, 36), np.uint8)
         a[2, :] = (np.arange(36) + 1) % 2
         a[2, 10] = 0
-        rows, _ = alpha_wraparound_rows(TorusConfig(a), 0.2)
-        assert rows == [2]
-        rows, _ = alpha_wraparound_rows(TorusConfig(a), 0.05)
-        assert rows == []
-
-    def test_alpha_range_enforced(self):
-        with pytest.raises(ValueError):
-            alpha_wraparound_rows(TorusConfig.zeros(4, 4), 0.7)
+        assert _alpha_lines(wraparound_planes(a), 0.2)[0] == [(2, 0)]
+        assert _alpha_lines(wraparound_planes(a), 0.05)[0] == []
 
 
 class TestFixWraparoundRow:
@@ -163,6 +189,18 @@ class TestFixWraparoundRow:
             row = [out[(5, c)] for c in range(12)]
             assert row in ([c % 2 for c in range(12)], [(c + 1) % 2 for c in range(12)])
             assert all(out[(4, c)] == 0 and out[(6, c)] == 0 for c in range(12))
+
+    def test_matches_cell_reference_on_small_shapes(self):
+        rng = np.random.default_rng(13)
+        for _ in range(3000):
+            m, n = (int(x) for x in rng.integers(1, 12, size=2))
+            a = (rng.random((m, n)) < rng.random()).astype(np.uint8)
+            r, c = int(rng.integers(m)), int(rng.integers(n))
+            want = a.copy()
+            cells = slow_fix_row(want, r, c)
+            changed = _fix_row_inplace(a, r, c)
+            assert np.array_equal(a, want)
+            assert set(map(tuple, np.argwhere(changed).tolist())) == cells
 
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):
@@ -358,6 +396,29 @@ class TestStabilize:
     def test_hard_instances(self):
         for n in (12, 16, 24):
             out, _ = stabilize(gen_hard_thr2(n), 0.1)
+            assert is_stable(out, THR2)
+
+    @pytest.mark.parametrize(
+        "rows, eps, axis, total",
+        [
+            # W = row 5, one chessboard box at rows 2-3, cols 4-5; row 3 is
+            # dead, so (2, 4) must not keep a lone 1.
+            ("000100 000000 000010 000001 000000 101010" + " 000000" * 5, 0.1, "rows", 3),
+            ("0000 0000 1000 0100 0000 1010 0000 0000 0000 1010", 0.75, "rows", 2),
+            ("0000000100000 0000100000000 0010001000000 0100100000000", 1.0, "cols", 4),
+        ],
+    )
+    def test_box_near_w_beside_zero_row(self, rows, eps, axis, total):
+        """A distance-2 row of the box that was all 0 before the repair is
+        dead like one the repair zeroed."""
+        a = np.array([[int(ch) for ch in row] for row in rows.split()], np.uint8)
+        out, report = stabilize(TorusConfig(a), eps)
+        assert is_stable(out, THR2)
+        assert (report.axis, report.total_modified) == (axis, total)
+
+    def test_seeded_fuzz_never_raises(self):
+        for a, eps in stabilizer_fuzz_inputs(1, 2000):
+            out, _ = stabilize(TorusConfig(a), eps)
             assert is_stable(out, THR2)
 
     def test_report_json_shape(self):
