@@ -3,28 +3,25 @@ and a CSV benchmark harness.
 
 Exit codes: 0 for accept/ok, 1 for reject/violation, 2 for usage errors.
 Grid files follow the shared text format ("m n" header plus 0/1 rows); all
-randomized commands are deterministic given their seed.
+randomized commands are deterministic given their seed. `gen` and `bench`
+build instances with one builder (`--m` applies to the stable ones only).
+`--out` (stdout when absent or "-") is opened after the input is read and
+checked and before the work, so an unwritable path costs nothing. `bench`
+writes the CSV header and then one row per trial as it finishes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 import click
 import numpy as np
 
-from .generators import (
-    GenSpec,
-    InfeasibleSpec,
-    gen_hard_majority,
-    gen_hard_thr2,
-    gen_stable_majority,
-    gen_stable_thr2,
-)
+from .generators import GenSpec, gen_hard_majority, gen_hard_thr2, gen_stable_majority, gen_stable_thr2
 from .grid import MAJORITY, THR1, THR2, THR3, THR4, THR5, TorusConfig, apply_rule, is_stable
 from .stabilizer import StabilizerParams, stabilize
 from .structure import majority_structure_check, thr2_structure_check
@@ -42,53 +39,6 @@ RULES = {
 CSV_HEADER = ["trial", "m", "n", "eps", "seed", "algorithm", "decision", "queries", "wall_ms"]
 
 
-@dataclass
-class ExperimentConfig:
-    """Benchmark sweep parameters."""
-
-    instance: str
-    n: int
-    eps: float
-    trials: int
-    seed: int
-    algorithm: str = "structural"
-    sample_size: int = 50
-
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not (0 < self.eps <= 1):
-            raise ValueError("eps must be in (0, 1]")
-        if self.algorithm == "naive" and self.sample_size < 1:
-            raise ValueError("sample_size must be >= 1")
-
-
-@dataclass
-class TrialRecord:
-    trial: int
-    m: int
-    n: int
-    eps: float
-    seed: int
-    algorithm: str
-    decision: str
-    queries: int
-    wall_ms: float
-
-    def row(self) -> list:
-        return [
-            self.trial,
-            self.m,
-            self.n,
-            self.eps,
-            self.seed,
-            self.algorithm,
-            self.decision,
-            self.queries,
-            f"{self.wall_ms:.3f}",
-        ]
-
-
 def _read_grid(path: str | None) -> TorusConfig:
     try:
         if path is None or path == "-":
@@ -101,16 +51,37 @@ def _read_grid(path: str | None) -> TorusConfig:
         raise click.UsageError(f"bad grid input: {exc}")
 
 
-def _write_grid(cfg: TorusConfig, path: str | None) -> None:
-    text = cfg.to_text()
+def _open_out(path: str | None):
+    """Stdout for None or "-", else `path` opened for writing."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-        return
+        return contextlib.nullcontext(sys.stdout)
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        return open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise click.UsageError(f"cannot write output: {exc}")
+
+
+def _instance(
+    instance: str,
+    m: int,
+    n: int,
+    seed: int,
+    rects: int = 4,
+    wraparound_row: bool = False,
+    zebra_bands: int = 0,
+) -> TorusConfig:
+    """The `gen`/`bench` instance; an infeasible spec is a usage error."""
+    try:
+        if instance == "stable-thr2":
+            spec = GenSpec(m=m, n=n, rects=rects, seed=seed, wraparound_row=wraparound_row)
+            return gen_stable_thr2(spec)
+        if instance == "stable-maj":
+            return gen_stable_majority(GenSpec(m=m, n=n, seed=seed, zebra_bands=zebra_bands))
+        if m != n:
+            raise ValueError(f"{instance} is square: m must equal n")
+        return gen_hard_thr2(n) if instance == "hard-thr2" else gen_hard_majority(n)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
 
 rule_option = click.option(
@@ -137,9 +108,10 @@ def step(rule: str, steps: int, out: str | None, grid: str | None) -> None:
     if steps < 0:
         raise click.UsageError("steps must be >= 0")
     cfg = _read_grid(grid)
-    for _ in range(steps):
-        cfg = apply_rule(cfg, RULES[rule])
-    _write_grid(cfg, out)
+    with _open_out(out) as fh:
+        for _ in range(steps):
+            cfg = apply_rule(cfg, RULES[rule])
+        fh.write(cfg.to_text())
 
 
 @main.command()
@@ -224,8 +196,9 @@ def stabilize_cmd(eps: float, out: str | None, as_json: bool, grid: str | None) 
         params = StabilizerParams(eps=eps)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    result, report = stabilize(cfg, eps, params)
-    _write_grid(result, out)
+    with _open_out(out) as fh:
+        result, report = stabilize(cfg, eps, params)
+        fh.write(result.to_text())
     summary = report.to_json_dict()
     if as_json:
         click.echo(json.dumps(summary), err=True)
@@ -236,7 +209,6 @@ def stabilize_cmd(eps: float, out: str | None, as_json: bool, grid: str | None) 
             f"(steps: {mods['step1']}/{mods['step2']}/{mods['step3']}/{mods['step4']})",
             err=True,
         )
-
 
 
 @main.command()
@@ -263,64 +235,9 @@ def gen(
     out: str | None,
 ) -> None:
     """Generate an instance and print it in the grid format."""
-    m = n if m is None else m
-    try:
-        if instance == "stable-thr2":
-            cfg = gen_stable_thr2(
-                GenSpec(m=m, n=n, rects=rects, seed=seed, wraparound_row=wraparound_row)
-            )
-        elif instance == "stable-maj":
-            cfg = gen_stable_majority(GenSpec(m=m, n=n, seed=seed, zebra_bands=zebra_bands))
-        elif instance == "hard-thr2":
-            cfg = gen_hard_thr2(n)
-        else:
-            cfg = gen_hard_majority(n)
-    except (InfeasibleSpec, ValueError) as exc:
-        raise click.UsageError(str(exc))
-    _write_grid(cfg, out)
-
-
-def _bench_instance(config: ExperimentConfig) -> TorusConfig:
-    if config.instance == "hard-thr2":
-        return gen_hard_thr2(config.n)
-    if config.instance == "hard-maj":
-        return gen_hard_majority(config.n)
-    if config.instance == "stable-thr2":
-        return gen_stable_thr2(GenSpec(m=config.n, n=config.n, rects=4, seed=config.seed))
-    raise click.UsageError(f"unknown bench instance {config.instance}")
-
-
-def _run_trial(config: ExperimentConfig, cfg: TorusConfig, trial: int) -> TrialRecord:
-    seed = config.seed + trial
-    oracle = QueryOracle(cfg)
-    t0 = time.perf_counter()
-    if config.algorithm == "structural":
-        result = run_tester(oracle, TesterParams(eps=config.eps, seed=seed))
-        accepted = result.accepted
-    else:
-        rng = np.random.default_rng(seed)
-        accepted, _ = run_naive_tester(oracle, THR2, config.sample_size, rng)
-    wall_ms = (time.perf_counter() - t0) * 1000
-    return TrialRecord(
-        trial=trial,
-        m=cfg.m,
-        n=cfg.n,
-        eps=config.eps,
-        seed=seed,
-        algorithm=config.algorithm,
-        decision="accept" if accepted else "reject",
-        queries=oracle.queries,
-        wall_ms=wall_ms,
-    )
-
-
-def emit_csv(records: list[TrialRecord], path: str) -> None:
-    """Write trial records as CSV, ordered by trial id."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for rec in sorted(records, key=lambda r: r.trial):
-            writer.writerow(rec.row())
+    cfg = _instance(instance, n if m is None else m, n, seed, rects, wraparound_row, zebra_bands)
+    with _open_out(out) as fh:
+        fh.write(cfg.to_text())
 
 
 @main.command()
@@ -352,25 +269,32 @@ def bench(
     out: str,
 ) -> None:
     """Run seeded tester trials and emit a CSV of decisions and query counts."""
-    try:
-        config = ExperimentConfig(
-            instance=instance,
-            n=n,
-            eps=eps,
-            trials=trials,
-            seed=seed,
-            algorithm=algorithm,
-            sample_size=sample_size,
-        )
-        cfg = _bench_instance(config)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    records = [_run_trial(config, cfg, t) for t in range(trials)]
-    try:
-        emit_csv(records, out)
-    except OSError as exc:
-        raise click.UsageError(f"cannot write output: {exc}")
-    rejected = sum(r.decision == "reject" for r in records)
+    if trials < 1:
+        raise click.UsageError("trials must be >= 1")
+    if not (0 < eps <= 1):
+        raise click.UsageError("eps must be in (0, 1]")
+    if algorithm == "naive" and sample_size < 1:
+        raise click.UsageError("sample_size must be >= 1")
+    cfg = _instance(instance, n, n, seed)
+    rejected = 0
+    with _open_out(out) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for trial in range(trials):
+            trial_seed = seed + trial
+            oracle = QueryOracle(cfg)
+            t0 = time.perf_counter()
+            if algorithm == "structural":
+                accepted = run_tester(oracle, TesterParams(eps=eps, seed=trial_seed)).accepted
+            else:
+                rng = np.random.default_rng(trial_seed)
+                accepted, _ = run_naive_tester(oracle, THR2, sample_size, rng)
+            wall_ms = f"{(time.perf_counter() - t0) * 1000:.3f}"
+            rejected += not accepted
+            decision = "accept" if accepted else "reject"
+            writer.writerow(
+                [trial, cfg.m, cfg.n, eps, trial_seed, algorithm, decision, oracle.queries, wall_ms]
+            )
     click.echo(f"{trials} trials, reject rate {rejected / trials:.3f}", err=True)
 
 

@@ -59,10 +59,6 @@ class Rect:
     width: int
 
     @property
-    def full_rows(self) -> bool:
-        return self.height == self.m
-
-    @property
     def full_cols(self) -> bool:
         return self.width == self.n
 
@@ -280,16 +276,15 @@ def rect_distance(a: Rect, b: Rect) -> int:
 
 @dataclass
 class Verdict:
-    """Outcome of a structure check, with a concrete witness on failure."""
+    """Outcome of `thr2_structure_check`, with a concrete witness on failure."""
 
     ok: bool
-    check: str
     witness_kind: Optional[str] = None
     witness_cells: list[Cell] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         return {
-            "check": self.check,
+            "check": "thr2-structure",
             "result": "StableStructured" if self.ok else "Violation",
             "witness_cells": [list(c) for c in sorted(self.witness_cells)],
             "witness_kind": self.witness_kind,
@@ -302,19 +297,15 @@ def thr2_structure_check(cfg: TorusConfig) -> Verdict:
     xs = mono_components(cfg)
     for comp in xs:
         if comp.rect is None:
-            return Verdict(False, "thr2-structure", "non-rectangle-mono", sorted(comp.cells)[:8])
+            return Verdict(False, "non-rectangle-mono", sorted(comp.cells)[:8])
         if comp.rect.almost_wraparound:
-            return Verdict(
-                False, "thr2-structure", "almost-wraparound-mono", sorted(comp.cells)[:8]
-            )
+            return Verdict(False, "almost-wraparound-mono", sorted(comp.cells)[:8])
     ys = chess_components(cfg)
     for comp in ys:
         if comp.conflicted:
-            return Verdict(
-                False, "thr2-structure", "non-alternating-chess", sorted(comp.cells)[:8]
-            )
+            return Verdict(False, "non-alternating-chess", sorted(comp.cells)[:8])
         if comp.rect is None:
-            return Verdict(False, "thr2-structure", "non-rectangle-chess", sorted(comp.cells)[:8])
+            return Verdict(False, "non-rectangle-chess", sorted(comp.cells)[:8])
 
     comps = xs + ys
     covered = np.zeros((m, n), dtype=bool)
@@ -326,7 +317,7 @@ def thr2_structure_check(cfg: TorusConfig) -> Verdict:
             chess_zero[rows, cols] = cfg.a[rows, cols] == 0
     stray = np.argwhere((cfg.a == 1) & ~covered)[:8].tolist()
     if stray:
-        return Verdict(False, "thr2-structure", "state-1-in-Z", [tuple(c) for c in stray])
+        return Verdict(False, "state-1-in-Z", [tuple(c) for c in stray])
 
     # Phase requirement: a cell outside all components must not be adjacent to
     # two state-0 chessboard cells; those toggle to 1 in unison and would
@@ -337,7 +328,7 @@ def thr2_structure_check(cfg: TorusConfig) -> Verdict:
     if len(in_phase):
         cell = divmod(int(in_phase[0]), n)
         hot = [nb for nb in von_neumann(m, n, cell) if chess_zero[nb]]
-        return Verdict(False, "thr2-structure", "in-phase-chess-neighbors", [cell] + hot[:2])
+        return Verdict(False, "in-phase-chess-neighbors", [cell] + hot[:2])
 
     # Every component is a rectangle here, so distances are rectangle gaps.
     for i, ci in enumerate(comps):
@@ -345,8 +336,8 @@ def thr2_structure_check(cfg: TorusConfig) -> Verdict:
             need = 3 if MONO in (ci.kind, cj.kind) else 2
             if rect_distance(ci.rect, cj.rect) < need:
                 w = sorted(ci.cells)[:2] + sorted(cj.cells)[:2]
-                return Verdict(False, "thr2-structure", "components-too-close", w)
-    return Verdict(True, "thr2-structure")
+                return Verdict(False, "components-too-close", w)
+    return Verdict(True)
 
 
 def majority_structure_check(cfg: TorusConfig) -> bool:

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from torustab import THR2, TorusConfig, is_stable
-from torustab.cli import CSV_HEADER, ExperimentConfig, TrialRecord, emit_csv, main
+from torustab.cli import CSV_HEADER, main
 
 
 @pytest.fixture
@@ -143,6 +143,11 @@ class TestGen:
         res = runner.invoke(main, ["gen", "--instance", "hard-thr2", "--n", "13"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("instance", ["hard-thr2", "hard-maj"])
+    def test_hard_instance_other_m_rejected(self, runner, instance):
+        res = runner.invoke(main, ["gen", "--instance", instance, "--n", "20", "--m", "4"])
+        assert res.exit_code == 2 and "m must equal n" in res.output
+
     def test_deterministic_given_seed(self, runner):
         args = ["gen", "--instance", "stable-thr2", "--n", "20", "--seed", "9"]
         out1 = runner.invoke(main, args).output
@@ -201,38 +206,62 @@ class TestBench:
         c2 = [line.rsplit(",", 1)[0] for line in p2.read_text().split("\n")]
         assert c1 == c2  # identical apart from wall-clock column
 
+    BASE = ["bench", "--instance", "hard-thr2", "--n", "32", "--eps", "0.2", "--trials", "5"]
+    # Rows without wall_ms, the one column that varies from run to run.
+    PINNED = {
+        "structural": [
+            "0,32,32,0.2,3,structural,reject,1024",
+            "1,32,32,0.2,4,structural,reject,1024",
+            "2,32,32,0.2,5,structural,reject,1024",
+            "3,32,32,0.2,6,structural,reject,1024",
+            "4,32,32,0.2,7,structural,reject,1024",
+        ],
+        "naive": [
+            "0,32,32,0.2,3,naive,reject,183",
+            "1,32,32,0.2,4,naive,reject,64",
+            "2,32,32,0.2,5,naive,reject,145",
+            "3,32,32,0.2,6,naive,reject,215",
+            "4,32,32,0.2,7,naive,reject,248",
+        ],
+    }
 
-class TestEmitCsv:
-    def test_zero_records(self, tmp_path):
-        p = tmp_path / "empty.csv"
-        emit_csv([], str(p))
-        assert p.read_text() == ",".join(CSV_HEADER) + "\n"
+    @pytest.mark.parametrize("algorithm", ["structural", "naive"])
+    def test_pinned_csv(self, runner, tmp_path, algorithm):
+        out = tmp_path / "r.csv"
+        args = ["--seed", "3", "--algorithm", algorithm, "--out", str(out)]
+        res = runner.invoke(main, self.BASE + args)
+        assert res.exit_code == 0
+        lines = [line.rsplit(",", 1)[0] for line in out.read_text().strip().split("\n")]
+        assert lines == ["trial,m,n,eps,seed,algorithm,decision,queries"] + self.PINNED[algorithm]
+        assert res.stderr == "5 trials, reject rate 1.000\n"
 
-    def test_ordering_by_trial(self, tmp_path):
-        recs = [
-            TrialRecord(2, 4, 4, 0.1, 2, "structural", "accept", 16, 1.0),
-            TrialRecord(0, 4, 4, 0.1, 0, "structural", "reject", 16, 1.0),
-            TrialRecord(1, 4, 4, 0.1, 1, "structural", "accept", 16, 1.0),
-        ]
-        p = tmp_path / "ordered.csv"
-        emit_csv(recs, str(p))
-        trials = [line.split(",")[0] for line in p.read_text().strip().split("\n")[1:]]
-        assert trials == ["0", "1", "2"]
+    def test_trial_ids_in_order(self, runner, tmp_path):
+        out = tmp_path / "r.csv"
+        runner.invoke(main, self.BASE + ["--trials", "12", "--out", str(out)])
+        trials = [line.split(",")[0] for line in out.read_text().strip().split("\n")[1:]]
+        assert trials == [str(t) for t in range(12)]
 
+    def test_out_dash_writes_stdout(self, runner, tmp_path):
+        out = tmp_path / "r.csv"
+        runner.invoke(main, self.BASE + ["--out", str(out)])
+        res = runner.invoke(main, self.BASE + ["--out", "-"])
+        assert res.exit_code == 0
+        strip = lambda text: [line.rsplit(",", 1)[0] for line in text.split("\n")]
+        assert strip(res.stdout) == strip(out.read_text())
 
-class TestExperimentConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(instance="hard-thr2", n=16, eps=0.1, trials=0, seed=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(instance="hard-thr2", n=16, eps=2.0, trials=1, seed=0)
-        cfg = ExperimentConfig(instance="hard-thr2", n=16, eps=0.1, trials=1, seed=0)
-
-    def test_naive_sample_size_checked(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(
-                instance="hard-thr2", n=16, eps=0.1, trials=1, seed=0, algorithm="naive", sample_size=0
-            )
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--trials", "0"], "trials must be >= 1"),
+            (["--eps", "2.0"], "eps must be in (0, 1]"),
+            (["--eps", "0"], "eps must be in (0, 1]"),
+        ],
+        ids=["trials-0", "eps-2", "eps-0"],
+    )
+    def test_bad_parameters_rejected(self, runner, tmp_path, args, message):
+        out = tmp_path / "r.csv"
+        res = runner.invoke(main, self.BASE + args + ["--out", str(out)])
+        assert res.exit_code == 2 and message in res.output and not out.exists()
 
 
 class TestUsageErrors:
@@ -251,6 +280,23 @@ class TestUsageErrors:
         ],
     )
     def test_unwritable_out(self, runner, tmp_path, args):
+        out = tmp_path / "missing" / "out"
+        res = runner.invoke(main, args + ["--out", str(out)], input=ALL_ZERO_8)
+        assert res.exit_code == 2 and "cannot write output" in res.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["stabilize", "--eps", "0.5"],
+            ["bench", "--instance", "hard-thr2", "--n", "12", "--trials", "1"],
+        ],
+    )
+    def test_out_opened_before_work(self, runner, tmp_path, monkeypatch, args):
+        def work(*_args, **_kwargs):
+            raise AssertionError("work started before --out was opened")
+
+        monkeypatch.setattr("torustab.cli.stabilize", work)
+        monkeypatch.setattr("torustab.cli.run_tester", work)
         out = tmp_path / "missing" / "out"
         res = runner.invoke(main, args + ["--out", str(out)], input=ALL_ZERO_8)
         assert res.exit_code == 2 and "cannot write output" in res.output

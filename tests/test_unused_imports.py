@@ -1,10 +1,15 @@
 """Every name a module in src/ or tests/ imports is used by that module,
-and every private module-level function in src/ is referenced by its module.
+every private module-level function in src/ is referenced by its module,
+and every function, method and class defined in src/ is referenced
+somewhere in src/, tests/ or perfbench/.
 
-Package `__init__.py` files are skipped: their imports are re-exports.
+Package `__init__.py` files are skipped by the import check: their imports
+are re-exports.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,3 +74,92 @@ def test_no_unreferenced_private_functions():
         if (unused := unreferenced_private_functions(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
+def name_uses(tree: ast.AST) -> Counter:
+    """Identifiers a tree refers to: names, attributes, imported names, and
+    strings that are dotted names (wrap points such as "step.callback")."""
+    uses: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            uses[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            uses[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            uses.update(node.name.split("."))
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and DOTTED_NAME.fullmatch(node.value)
+        ):
+            uses.update(node.value.split("."))
+    return uses
+
+
+def definitions(body: list[ast.stmt], prefix: str = ""):
+    """(qualified name, node) of every def and class, nested ones included."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield prefix + node.name, node
+            yield from definitions(node.body, f"{prefix}{node.name}.")
+
+
+def is_click_command(node: ast.AST) -> bool:
+    return any(
+        isinstance(d, ast.Call)
+        and isinstance(d.func, ast.Attribute)
+        and d.func.attr in ("command", "group")
+        for d in node.decorator_list
+    )
+
+
+def unreferenced_definitions(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """Definitions in `sources` whose name occurs in no source or reader
+    outside the definition itself. Dunders and click commands are exempt."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    uses: Counter = Counter()
+    for tree in [*trees.values(), *map(ast.parse, readers)]:
+        uses += name_uses(tree)
+    return [
+        f"{path}: {qualname} (line {node.lineno})"
+        for path, tree in trees.items()
+        for qualname, node in definitions(tree.body)
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+        and not is_click_command(node)
+        and uses[node.name] == name_uses(node)[node.name]
+    ]
+
+
+def test_unreferenced_definition_is_found():
+    src = (
+        "class Kept:\n"
+        "    def __init__(self):\n"
+        "        pass\n"
+        "    def recurse(self):\n"
+        "        return self.recurse()\n"
+        "\n"
+        "def planted():\n"
+        "    pass\n"
+        "\n"
+        "@main.command()\n"
+        "def cmd():\n"
+        "    pass\n"
+        "\n"
+        "def wrapped():\n"
+        "    pass\n"
+    )
+    readers = ["from a import Kept\n", "POINTS = [('a', 'wrapped.callback')]\n"]
+    assert unreferenced_definitions({"a.py": src}, readers) == [
+        "a.py: Kept.recurse (line 4)",
+        "a.py: planted (line 7)",
+    ]
+
+
+def test_no_unreferenced_definitions():
+    text = lambda path: path.read_text(encoding="utf-8")
+    sources = {str(p.relative_to(ROOT)): text(p) for p in sorted((ROOT / "src").rglob("*.py"))}
+    readers = [text(p) for d in ("tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unreferenced_definitions(sources, readers) == []
