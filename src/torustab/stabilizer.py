@@ -84,24 +84,26 @@ def _qualifying(count: int, length: int, alpha: float) -> bool:
 
 def _alpha_lines(planes, alpha: float):
     """(rows, cols) that are alpha-wraparound consistent, with parity class,
-    from the four `wraparound_planes`.
+    from the row and column parity planes of `wraparound_planes`.
 
     Each entry is (index, parity) where parity 0 means state-1 cells sit at
     even positions along the line.
     """
-    row_even, row_odd, col_even, col_odd = planes
-    m, n = row_even.shape
+    row, col = planes
 
-    def lines(even: np.ndarray, odd: np.ndarray, length: int) -> list[tuple[int, int]]:
+    def lines(plane: np.ndarray) -> list[tuple[int, int]]:
+        length = plane.shape[1]
+        even = (plane == 0).sum(axis=1).tolist()
+        odd = (plane == 1).sum(axis=1).tolist()
         out = []
-        for idx, (ne, no) in enumerate(zip(even.sum(axis=1).tolist(), odd.sum(axis=1).tolist())):
+        for idx, (ne, no) in enumerate(zip(even, odd)):
             if _qualifying(ne, length, alpha):
                 out.append((idx, 0))
             elif _qualifying(no, length, alpha):
                 out.append((idx, 1))
         return out
 
-    return lines(row_even, row_odd, n), lines(col_even.T, col_odd.T, m)
+    return lines(row), lines(col.T)
 
 
 def _fix_row_inplace(a: np.ndarray, r: int, anchor_col: int) -> np.ndarray:
@@ -139,23 +141,19 @@ def fix_wraparound_row(
     if cfg.n % 2 != 0:
         raise ValueError("a chessboard wraparound row needs an even row length")
     r %= cfg.m
-    even_cols = []
-    odd_cols = []
+    cols: tuple[list[int], list[int]] = ([], [])
     for c in range(cfg.n):
-        f = classify_wraparound(cfg, (r, c))
-        if f.row_even:
-            even_cols.append(c)
-        if f.row_odd:
-            odd_cols.append(c)
+        p = classify_wraparound(cfg, (r, c)).row
+        if p is not None:
+            cols[p].append(c)
     if parity is None:
-        if not even_cols and not odd_cols:
+        if not cols[0] and not cols[1]:
             raise NoMajorityClass(f"no wraparound-consistent cell in row {r}")
-        parity = 0 if len(even_cols) >= len(odd_cols) else 1
-    cols = even_cols if parity == 0 else odd_cols
-    if not cols:
+        parity = 0 if len(cols[0]) >= len(cols[1]) else 1
+    if not cols[parity]:
         raise NoMajorityClass(f"no parity-{parity} consistent cell in row {r}")
     a = cfg.a.copy()
-    changed = _fix_row_inplace(a, r, cols[0])
+    changed = _fix_row_inplace(a, r, cols[parity][0])
     return TorusConfig(a), int(changed.sum())
 
 
@@ -456,15 +454,15 @@ def stabilize(
     if use_rows:
         work = cfg.a.copy()
         lines = rows
-        line_planes = planes[:2]
+        line_plane = planes[0]
     else:
         work = cfg.a.T.copy()
         lines = cols
-        line_planes = (planes[2].T, planes[3].T)
+        line_plane = planes[1].T
 
     def anchor_col(r: int, parity: int) -> int:
-        """The first position along line r flagged for the parity class."""
-        return int(np.flatnonzero(line_planes[parity][r])[0])
+        """The first position along line r in the parity class."""
+        return int(np.flatnonzero(line_plane[r] == parity)[0])
 
     m2, n2 = work.shape
 

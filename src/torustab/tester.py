@@ -1,9 +1,10 @@
 """Query-counted testing of Threshold-2 stability.
 
 Provides the query oracle with distinct-read accounting, the rectangulation
-view sigma#, wraparound-consistency classification, cross-shaped regions with
-their bounding boxes, interior/perimeter violation predicates, the sublinear
-tester and the naive sampling baseline.
+view sigma#, wraparound-consistency classification (per cell, the parity class
+of the chessboard wraparound its row and its column can extend to, if any),
+cross-shaped regions with their bounding boxes, interior/perimeter violation
+predicates, the sublinear tester and the naive sampling baseline.
 
 The tester is one-sided: it never rejects a stable configuration, and every
 rejection carries a witness that can be re-checked against the configuration
@@ -99,19 +100,13 @@ class TesterParams:
 
 
 @dataclass(frozen=True)
-class WraparoundFlags:
-    row_even: bool = False
-    row_odd: bool = False
-    col_even: bool = False
-    col_odd: bool = False
+class Wrap:
+    """Wraparound consistency of a cell's row and column: each is the parity
+    class of the chessboard wraparound the cell's window extends to (0 puts
+    state-1 cells at even positions, 1 at odd ones), or None."""
 
-    @property
-    def row_any(self) -> bool:
-        return self.row_even or self.row_odd
-
-    @property
-    def col_any(self) -> bool:
-        return self.col_even or self.col_odd
+    row: Optional[int] = None
+    col: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -203,81 +198,64 @@ class RectView:
         return value
 
 
-def _window_consistent(oracle, cell: Cell, axis: str, parity: int) -> bool:
-    """Whether sigma[Gamma<=3(cell)] extends to a config in which the cell's
-    row (axis="row") or column is an even/odd chessboard wraparound.
+def _window_parity(oracle, cell: Cell, axis: str) -> Optional[int]:
+    """The parity class of the chessboard wraparound that sigma[Gamma<=3(cell)]
+    extends the cell's row (axis="row") or column to, or None.
 
-    parity 0 demands state-1 cells at even positions, parity 1 at odd ones.
-    The window constraints are: the line's in-window cells carry the exact
-    alternating pattern; the two neighboring lines are all 0 in the window;
-    and no two adjacent 1s fully inside the window force a monochromatic
-    component at distance < 3 from the line.
+    The line's first window cell, at offset -3, fixes the only class that can
+    match.  The window constraints are: the line's in-window cells alternate;
+    the two neighboring lines are all 0 in the window; and no two adjacent 1s
+    fully inside the window force a monochromatic component at distance < 3
+    from the line.
     """
     m, n = oracle.m, oracle.n
     r, c = cell
-
-    if axis == "row":
-        length = n
-
-        def at(dline: int, dpos: int) -> int:
-            return oracle.read(((r + dline) % m, (c + dpos) % n))
-
-        def pos(dpos: int) -> int:
-            return (c + dpos) % n
-
-    else:
-        length = m
-
-        def at(dline: int, dpos: int) -> int:
-            return oracle.read(((r + dpos) % m, (c + dline) % n))
-
-        def pos(dpos: int) -> int:
-            return (r + dpos) % m
-
+    length, pos = (n, c) if axis == "row" else (m, r)
     # An alternating line needs an even length; on a 2-cycle its 0 cell has
     # a single distinct 1 neighbor, so the line does not toggle.
     if length % 2 != 0 or length < 4:
-        return False
-    # The line itself must carry the exact alternating pattern in the window.
-    for dpos in range(-3, 4):
-        want = 1 if pos(dpos) % 2 == parity else 0
-        if at(0, dpos) != want:
-            return False
+        return None
+
+    def at(dline: int, dpos: int) -> int:
+        di, dj = (dline, dpos) if axis == "row" else (dpos, dline)
+        return oracle.read(((r + di) % m, (c + dj) % n))
+
+    first = at(0, -3)
+    # The line itself must alternate over the window.
+    for dpos in range(-2, 4):
+        if at(0, dpos) != first ^ ((dpos + 3) % 2):
+            return None
     # The two neighboring lines must be all-zero in the window.
     for dline in (-1, 1):
         for dpos in range(-2, 3):
             if at(dline, dpos) != 0:
-                return False
+                return None
     # No monochromatic component at distance < 3: any adjacent pair of 1s
     # lying fully inside the window at line offset 2 (or straddling offsets
     # 2 and 3) cannot be zeroed by the extension, so it forces one.
     for dline in (-2, 2):
         for dpos in (-1, 0):
             if at(dline, dpos) == 1 and at(dline, dpos + 1) == 1:
-                return False
+                return None
         step = 1 if dline > 0 else -1
         if at(dline, 0) == 1 and at(dline + step, 0) == 1:
-            return False
-    return True
+            return None
+    return (pos + first) % 2
 
 
-def classify_wraparound(oracle, cell: Cell) -> WraparoundFlags:
-    """Wraparound-consistency flags of a cell, reading only Gamma<=3(cell)
-    through `oracle` (a QueryOracle or a TorusConfig)."""
+def classify_wraparound(oracle, cell: Cell) -> Wrap:
+    """Wraparound consistency of a cell, reading only Gamma<=3(cell) through
+    `oracle` (a QueryOracle or a TorusConfig)."""
     cell = (cell[0] % oracle.m, cell[1] % oracle.n)
-    return WraparoundFlags(
-        row_even=_window_consistent(oracle, cell, "row", 0),
-        row_odd=_window_consistent(oracle, cell, "row", 1),
-        col_even=_window_consistent(oracle, cell, "col", 0),
-        col_odd=_window_consistent(oracle, cell, "col", 1),
-    )
+    return Wrap(_window_parity(oracle, cell, "row"), _window_parity(oracle, cell, "col"))
 
 
-def _row_wraparound_planes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The even and odd row flags of `_window_consistent` for every cell."""
+def _row_wraparound_plane(a: np.ndarray) -> np.ndarray:
+    """`_window_parity` along rows for every cell: the parity class, or -1."""
     m, n = a.shape
+    plane = np.full((m, n), -1, dtype=np.int8)
     if n % 2 != 0 or n < 4:
-        return np.zeros((m, n), dtype=bool), np.zeros((m, n), dtype=bool)
+        return plane
 
     one = a == 1
     # The two neighboring lines are all 0 over positions -2..2.
@@ -289,62 +267,56 @@ def _row_wraparound_planes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for dline, step in ((-2, -1), (2, 1)):
         ok &= ~shifted(pair, dline, -1) & ~shifted(pair, dline, 0)
         ok &= ~(shifted(one, dline, 0) & shifted(one, dline + step, 0))
-    # The line carries the parity's alternating pattern over positions -3..3.
-    planes = []
-    for parity in (0, 1):
-        match = one == (np.arange(n) % 2 == parity)
-        planes.append(ok & np.logical_and.reduce([shifted(match, 0, d) for d in range(-3, 4)]))
-    return planes[0], planes[1]
+    # The line alternates over positions -3..3; its parity class then puts
+    # the cell's own state on the matching positions.
+    flip = one != shifted(one, 0, 1)
+    ok &= np.logical_and.reduce([shifted(flip, 0, d) for d in range(-3, 3)])
+    parity = (np.arange(n) + 1 + one) % 2
+    plane[ok] = parity[ok]
+    return plane
 
 
-def wraparound_planes(a: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The wraparound-consistency flags of every cell as four (m, n)
-    boolean planes: row_even, row_odd, col_even, col_odd.
+def wraparound_planes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The wraparound parity of every cell as two (m, n) int8 planes, rows
+    then columns: the parity class, or -1 where the window is inconsistent.
 
     Cell (i, j) of each plane equals the same field of
-    `classify_wraparound(TorusConfig(a), (i, j))`, its per-cell form; a
-    column is a row of the transpose.
+    `classify_wraparound(TorusConfig(a), (i, j))`, its per-cell form, with -1
+    for None; a column is a row of the transpose.
     """
-    row_even, row_odd = _row_wraparound_planes(a)
-    col_even, col_odd = _row_wraparound_planes(a.T)
-    return row_even, row_odd, col_even.T, col_odd.T
+    return _row_wraparound_plane(a), _row_wraparound_plane(a.T).T
 
 
-def is_violating_pair(
-    cell1: Cell, f1: WraparoundFlags, cell2: Cell, f2: WraparoundFlags
-) -> bool:
+def is_violating_pair(cell1: Cell, f1: Wrap, cell2: Cell, f2: Wrap) -> bool:
     """The three clauses of a wraparound violating pair."""
     if cell1 == cell2:
         return False
-    row1 = (f1.row_even, f1.row_odd)
-    row2 = (f2.row_even, f2.row_odd)
-    if cell1[0] == cell2[0] and row1 != row2 and (any(row1) or any(row2)):
+    if cell1[0] == cell2[0] and f1.row != f2.row:
         return True
-    col1 = (f1.col_even, f1.col_odd)
-    col2 = (f2.col_even, f2.col_odd)
-    if cell1[1] == cell2[1] and col1 != col2 and (any(col1) or any(col2)):
+    if cell1[1] == cell2[1] and f1.col != f2.col:
         return True
-    if (f1.row_any and f2.col_any) or (f1.col_any and f2.row_any):
-        return True
-    return False
+    return (f1.row is not None and f2.col is not None) or (
+        f1.col is not None and f2.row is not None
+    )
 
 
 def _first_violating_pair(
-    classified: list[tuple[Cell, WraparoundFlags]],
+    classified: list[tuple[Cell, Wrap]],
 ) -> Optional[tuple[int, int]]:
     """The first (i, j), i < j, in lexicographic order whose entries of
     ``classified`` form a violating pair, or None; O(len(classified)).
 
     This is the pair a nested ``i < j`` loop over ``is_violating_pair``
-    returns.  Entries at equal cells must carry equal flags, as they do when
-    all flags are classified on one configuration.  The scan runs from last
+    returns.  Entries at equal cells must carry equal parities, as they do
+    when all are classified on one configuration.  The scan runs from last
     to first; each bucket holds its smallest later index, that entry's key,
     and the smallest later index whose key differs from that one:
-    - clauses 1-2: a bucket per row (column) index, keyed by the (even, odd)
-      row (column) flags; differing flags imply one side is flagged and, by
-      the precondition, that the cells differ;
-    - clause 3: a bucket of all row_any and one of all col_any entries,
-      keyed by cell, since a cell never pairs with itself.
+    - clauses 1-2: a bucket per row (column) index, keyed by the row (column)
+      parity; differing parities imply one side is not None and, by the
+      precondition, that the cells differ;
+    - clause 3: a bucket of all entries with a row parity and one of all
+      with a column parity, keyed by cell, since a cell never pairs with
+      itself.
     """
     later: dict = {}
 
@@ -363,22 +335,20 @@ def _first_violating_pair(
     best = None
     for i in range(len(classified) - 1, -1, -1):
         cell, f = classified[i]
-        row = (f.row_even, f.row_odd)
-        col = (f.col_even, f.col_odd)
-        found = [partner(("row", cell[0]), row), partner(("col", cell[1]), col)]
-        if f.row_any:
-            found.append(partner("col_any", cell))
-        if f.col_any:
-            found.append(partner("row_any", cell))
+        found = [partner(("row", cell[0]), f.row), partner(("col", cell[1]), f.col)]
+        if f.row is not None:
+            found.append(partner("col_wrap", cell))
+        if f.col is not None:
+            found.append(partner("row_wrap", cell))
         found = [j for j in found if j is not None]
         if found:
             best = (i, min(found))
-        push(("row", cell[0]), i, row)
-        push(("col", cell[1]), i, col)
-        if f.row_any:
-            push("row_any", i, cell)
-        if f.col_any:
-            push("col_any", i, cell)
+        push(("row", cell[0]), i, f.row)
+        push(("col", cell[1]), i, f.col)
+        if f.row is not None:
+            push("row_wrap", i, cell)
+        if f.col is not None:
+            push("col_wrap", i, cell)
     return best
 
 
@@ -559,9 +529,9 @@ def run_tester(oracle: QueryOracle, params: TesterParams) -> TesterResult:
 
     Step 1 hunts for unstable cells and wraparound violating pairs along
     sampled rows and columns.  It classifies S = 2 A_ROWS A_CELLS
-    ceil(1/eps)^2 cells, pairs their wraparound flags in O(S) and reports
-    the first violating pair in sampling order (smallest first index, then
-    smallest second).  Step 2 samples A_S ceil(1/eps) cells, finds each
+    ceil(1/eps)^2 cells, pairs their row and column wraparound parities in
+    O(S) and reports the first violating pair in sampling order (smallest
+    first index, then smallest second).  Step 2 samples A_S ceil(1/eps) cells, finds each
     sampled monochromatic/chessboard cell's bounding box in sigma#, checks
     its border (`border_violation`) and then A_BOX ceil(1/eps) sampled cells
     of its interior.  When the torus is too small for the
@@ -583,7 +553,7 @@ def run_tester(oracle: QueryOracle, params: TesterParams) -> TesterResult:
     cpe = params.per_eps
 
     # Step 1: wraparound violating pairs.
-    classified: list[tuple[Cell, WraparoundFlags]] = []
+    classified: list[tuple[Cell, Wrap]] = []
     lines = [("row", int(r)) for r in rng.integers(0, m, A_ROWS * cpe)]
     lines += [("col", int(c)) for c in rng.integers(0, n, A_ROWS * cpe)]
     for axis, idx in lines:

@@ -6,6 +6,7 @@ that re-checks against the configuration directly).  The query accounting is
 verified against the computable cap, which depends on eps but not on m or n.
 """
 
+import hashlib
 import itertools
 import json
 from pathlib import Path
@@ -23,7 +24,7 @@ from torustab.tester import (
     QueryOracle,
     RectView,
     TesterParams as TParams,
-    WraparoundFlags,
+    Wrap,
     _first_violating_pair,
     border_violation,
     box_pattern,
@@ -46,10 +47,6 @@ def read_rect_view(cfg, k):
     """sigma# read cell by cell through a RectView."""
     view = RectView(QueryOracle(cfg), k)
     return TorusConfig([[view.read((i, j)) for j in range(cfg.n)] for i in range(cfg.m)])
-
-
-def cfg_from(rows):
-    return TorusConfig([[int(ch) for ch in row] for row in rows])
 
 
 def _cyc(a, b, size):
@@ -190,17 +187,17 @@ class TestClassifyWraparound:
         a = np.zeros((8, 8), np.uint8)
         a[2, :] = (np.arange(8) + 1) % 2
         f = classify_wraparound(QueryOracle(TorusConfig(a)), (2, 0))
-        assert f.row_even and not f.row_odd and not f.col_any
+        assert f == Wrap(row=0)
 
     def test_all_zero_window_unflagged(self):
         f = classify_wraparound(QueryOracle(TorusConfig.zeros(8, 8)), (3, 3))
-        assert not (f.row_any or f.col_any)
+        assert f == Wrap()
 
     def test_odd_length_row_never_flagged(self):
         a = np.zeros((8, 9), np.uint8)
         a[2, :] = 1 - (np.arange(9) % 2)
         f = classify_wraparound(QueryOracle(TorusConfig(a)), (2, 0))
-        assert not f.row_any
+        assert f.row is None
 
     def test_agrees_with_definition_oracle(self):
         rng = np.random.default_rng(43)
@@ -218,10 +215,10 @@ class TestClassifyWraparound:
                 cell = (int(rng.integers(m)), int(rng.integers(n)))
                 f = classify_wraparound(oracle, cell)
                 for axis, parity, got in [
-                    ("row", 0, f.row_even),
-                    ("row", 1, f.row_odd),
-                    ("col", 0, f.col_even),
-                    ("col", 1, f.col_odd),
+                    ("row", 0, f.row == 0),
+                    ("row", 1, f.row == 1),
+                    ("col", 0, f.col == 0),
+                    ("col", 1, f.col == 1),
                 ]:
                     assert got == def_wraparound_consistent(cfg, cell, axis, parity), (
                         cfg.to_text(),
@@ -230,6 +227,35 @@ class TestClassifyWraparound:
                         parity,
                     )
                     checks += 1
+
+    def test_read_sets_pinned_inside_radius_3(self):
+        # query_cap charges each Step 1 cell 25 reads, which assumes the
+        # classification reads nothing outside Gamma<=3(cell).  The digest
+        # pins the exact read sets, so a rewrite must read the same cells.
+        rng = np.random.default_rng(47)
+        read_sets = []
+        for trial in range(4000):
+            m = int(rng.integers(1, 13))
+            n = int(rng.integers(1, 13))
+            style = trial % 3
+            if style == 0:
+                a = (rng.random((m, n)) < rng.uniform(0.05, 0.6)).astype(np.uint8)
+            else:
+                a = np.zeros((m, n), np.uint8)
+                if style == 1:
+                    a[int(rng.integers(m)), :] = (np.arange(n) + rng.integers(2)) % 2
+                else:
+                    a[:, int(rng.integers(n))] = (np.arange(m) + rng.integers(2)) % 2
+                if rng.random() < 0.5:
+                    a ^= (rng.random((m, n)) < 0.05).astype(np.uint8)
+            cell = (int(rng.integers(m)), int(rng.integers(n)))
+            oracle = QueryOracle(TorusConfig(a))
+            classify_wraparound(oracle, cell)
+            reads = sorted(oracle._seen)
+            assert all(torus_distance(m, n, cell, p) <= 3 for p in reads), (a.tolist(), cell)
+            read_sets.append(reads)
+        digest = hashlib.sha256(json.dumps(read_sets).encode()).hexdigest()
+        assert digest == "e1f461f055968b99195c62ce7c8c6938bba3fa6fbd51bc8e229ea8a3c570486b"
 
 
 class TestWraparoundPlanes:
@@ -249,29 +275,27 @@ class TestWraparoundPlanes:
                     grids += [planted, planted ^ (rng.random((m, n)) < 0.05).astype(np.uint8)]
                 for a in grids:
                     planes = wraparound_planes(a)
-                    assert all(p.shape == (m, n) and p.dtype == bool for p in planes)
+                    assert len(planes) == 2
+                    for p in planes:
+                        assert p.shape == (m, n) and p.dtype == np.int8
+                        assert set(np.unique(p).tolist()) <= {-1, 0, 1}
                     cfg = TorusConfig(a)
                     for i in range(m):
                         for j in range(n):
                             f = classify_wraparound(cfg, (i, j))
-                            want = (f.row_even, f.row_odd, f.col_even, f.col_odd)
-                            got = tuple(bool(p[i, j]) for p in planes)
+                            want = tuple(-1 if p is None else p for p in (f.row, f.col))
+                            got = tuple(int(p[i, j]) for p in planes)
                             assert got == want, (a.tolist(), i, j)
 
     def test_planted_row_flags_every_cell(self):
         a = np.zeros((9, 10), np.uint8)
         a[4, :] = (np.arange(10) + 1) % 2
-        row_even, row_odd, col_even, col_odd = wraparound_planes(a)
-        assert row_even[4].all() and not row_odd.any()
-        assert row_even.sum() == 10 and not col_even.any() and not col_odd.any()
+        row, col = wraparound_planes(a)
+        assert (row[4] == 0).all() and not (row == 1).any()
+        assert (row == 0).sum() == 10 and (col == -1).all()
 
 
 class TestViolatingPair:
-    F = classify_wraparound
-
-    def flags(self, rows, cell):
-        return classify_wraparound(QueryOracle(cfg_from(rows)), cell)
-
     def test_same_row_mismatch(self):
         # Half the row alternates, half is dead: a cell deep in each half
         # classifies differently, and together they witness the broken row.
@@ -281,20 +305,16 @@ class TestViolatingPair:
         oracle = QueryOracle(cfg)
         f1 = classify_wraparound(oracle, (2, 4))
         f2 = classify_wraparound(oracle, (2, 12))
-        assert f1.row_odd and not f2.row_any
+        assert f1.row == 1 and f2.row is None
         assert is_violating_pair((2, 4), f1, (2, 12), f2)
 
     def test_row_vs_column_cross(self):
-        from torustab.tester import WraparoundFlags
-
-        f1 = WraparoundFlags(row_even=True)
-        f2 = WraparoundFlags(col_odd=True)
+        f1 = Wrap(row=0)
+        f2 = Wrap(col=1)
         assert is_violating_pair((0, 0), f1, (5, 5), f2)
 
     def test_consistent_pair_not_violating(self):
-        from torustab.tester import WraparoundFlags
-
-        f = WraparoundFlags(row_even=True)
+        f = Wrap(row=0)
         assert not is_violating_pair((2, 0), f, (2, 4), f)
 
 
@@ -308,15 +328,16 @@ def nested_first_pair(classified):
     return None
 
 
-ALL_FLAGS = [WraparoundFlags(*bits) for bits in itertools.product((False, True), repeat=4)]
+# Every value a window can produce: no parity, or parity 0 or 1, per axis.
+ALL_FLAGS = [Wrap(row, col) for row in (None, 0, 1) for col in (None, 0, 1)]
 
 
 class TestFirstViolatingPair:
     def random_flag_list(self, rng):
         # Few distinct rows and columns force duplicate cells and shared
-        # lines; flags are drawn once per cell, as classification is a
-        # function of the cell.  Half the cells are unflagged or carry a
-        # single flag so that lists without any pair are common too.
+        # lines; parities are drawn once per cell, as classification is a
+        # function of the cell.  Half the cells have no parity or one on a
+        # single axis so that lists without any pair are common too.
         size = int(rng.integers(0, 17))
         side = int(rng.integers(1, 6))
         flags = {}
@@ -324,8 +345,8 @@ class TestFirstViolatingPair:
         for _ in range(size):
             cell = (int(rng.integers(side)), int(rng.integers(side)))
             if cell not in flags:
-                sparse = ALL_FLAGS[int(rng.choice([0, 0, 0, 1, 2, 4, 8, 3, 12]))]
-                flags[cell] = sparse if rng.random() < 0.5 else ALL_FLAGS[int(rng.integers(16))]
+                sparse = ALL_FLAGS[int(rng.choice([0, 0, 0, 1, 2, 3, 6]))]
+                flags[cell] = sparse if rng.random() < 0.5 else ALL_FLAGS[int(rng.integers(9))]
             out.append((cell, flags[cell]))
         return out
 
@@ -342,19 +363,19 @@ class TestFirstViolatingPair:
 
     def test_empty_and_single(self):
         assert _first_violating_pair([]) is None
-        assert _first_violating_pair([((0, 0), ALL_FLAGS[15])]) is None
+        assert _first_violating_pair([((0, 0), ALL_FLAGS[-1])]) is None
 
     def test_cell_never_pairs_with_itself(self):
-        both = WraparoundFlags(row_even=True, col_odd=True)
+        both = Wrap(row=0, col=1)
         classified = [((1, 2), both), ((1, 2), both), ((1, 2), both)]
         assert _first_violating_pair(classified) is None
-        classified.append(((3, 3), WraparoundFlags(row_odd=True)))
+        classified.append(((3, 3), Wrap(row=1)))
         assert _first_violating_pair(classified) == (0, 3)
 
     def test_smallest_first_index_wins(self):
-        row = WraparoundFlags(row_even=True)
-        col = WraparoundFlags(col_even=True)
-        none = WraparoundFlags()
+        row = Wrap(row=0)
+        col = Wrap(col=0)
+        none = Wrap()
         # (1, 4) cross-pairs, and (0, 5) mismatch in row 0; i = 0 comes first.
         classified = [
             ((0, 1), none),
@@ -362,7 +383,7 @@ class TestFirstViolatingPair:
             ((3, 3), none),
             ((4, 4), none),
             ((5, 5), col),
-            ((0, 6), WraparoundFlags(row_odd=True)),
+            ((0, 6), Wrap(row=1)),
         ]
         assert _first_violating_pair(classified) == (0, 5)
         assert nested_first_pair(classified) == (0, 5)
@@ -694,7 +715,7 @@ class TestMooreIsolationSoundness:
                     if any(cfg[p] for p in nbs):
                         continue
                     f = classify_wraparound(oracle, (i, j))
-                    if f.row_any or f.col_any:
+                    if f != Wrap():
                         continue
                     found += 1
                     assert any(
