@@ -30,6 +30,7 @@ from .grid import (
     is_stable,
     moore_offsets,
     shifted,
+    threshold_step,
     von_neumann,
 )
 from .structure import CHESS, MONO, Rect, _interval_gap
@@ -48,6 +49,10 @@ class QueryOracle:
 
     Every first read of a cell costs one query; repeat reads are free.  A
     single oracle instance serves one tester run (mutable counter).
+
+    `read` charges the cell it returns.  `gather` returns the states at index
+    arrays without charging them, so a caller that screens many cells at once
+    must `charge` exactly the cells its sequential read order would have read.
     """
 
     def __init__(self, cfg: TorusConfig) -> None:
@@ -62,6 +67,18 @@ class QueryOracle:
         if not self._all:
             self._seen.add((i, j))
         return self.cfg.a.item(i, j)
+
+    def gather(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The states at broadcast index arrays, taken mod (m, n); uncharged."""
+        return self.cfg.a[rows % self.m, cols % self.n]
+
+    def charge(self, rows: np.ndarray, cols: np.ndarray) -> None:
+        """Count the cells at index arrays of one shape, taken mod (m, n), as
+        read; converted to tuples in bounded chunks to bound memory."""
+        rows, cols = (rows % self.m).ravel(), (cols % self.n).ravel()
+        for lo in range(0, rows.size, 1 << 14):
+            chunk = slice(lo, lo + (1 << 14))
+            self._seen.update(zip(rows[chunk].tolist(), cols[chunk].tolist()))
 
     def read_all(self) -> TorusConfig:
         """Read every cell at once (used by the small-torus fallback);
@@ -528,15 +545,19 @@ def run_tester(oracle: QueryOracle, params: TesterParams) -> TesterResult:
     """The sublinear Threshold-2 stability tester.
 
     Step 1 hunts for unstable cells and wraparound violating pairs along
-    sampled rows and columns.  It classifies S = 2 A_ROWS A_CELLS
-    ceil(1/eps)^2 cells, pairs their row and column wraparound parities in
-    O(S) and reports the first violating pair in sampling order (smallest
-    first index, then smallest second).  Step 2 samples A_S ceil(1/eps) cells, finds each
-    sampled monochromatic/chessboard cell's bounding box in sigma#, checks
-    its border (`border_violation`) and then A_BOX ceil(1/eps) sampled cells
-    of its interior.  When the torus is too small for the
-    box machinery (min(m, n) < 3k) the whole configuration is read instead
-    and the exact answer returned; the read count mn < 9k^2 respects the cap.
+    sampled rows and columns.  It draws all S = 2 A_ROWS A_CELLS
+    ceil(1/eps)^2 cells up front and screens them for stability in one batch
+    (`_first_unstable`); the first unstable cell is the witness.  Otherwise it
+    pairs their row and column wraparound parities in O(S) and reports the
+    first violating pair in sampling order (smallest first index, then
+    smallest second).  Step 2 samples A_S ceil(1/eps) cells, screens them the
+    same way, finds each sampled monochromatic/chessboard cell's bounding box
+    in sigma#, checks its border (`border_violation`) and then A_BOX
+    ceil(1/eps) sampled cells of its interior.  The screens charge exactly
+    the cells a per-cell loop in sampling order would read, so queries match
+    it.  When the torus is too small for the box machinery (min(m, n) < 3k)
+    the whole configuration is read instead and the exact answer returned;
+    the read count mn < 9k^2 respects the cap.
     """
     m, n = oracle.m, oracle.n
     k = params.k
@@ -552,18 +573,22 @@ def run_tester(oracle: QueryOracle, params: TesterParams) -> TesterResult:
 
     cpe = params.per_eps
 
-    # Step 1: wraparound violating pairs.
-    classified: list[tuple[Cell, Wrap]] = []
-    lines = [("row", int(r)) for r in rng.integers(0, m, A_ROWS * cpe)]
-    lines += [("col", int(c)) for c in rng.integers(0, n, A_ROWS * cpe)]
-    for axis, idx in lines:
-        span = n if axis == "row" else m
-        for offset in rng.integers(0, span, A_CELLS * cpe):
-            cell = (idx, int(offset)) if axis == "row" else (int(offset), idx)
-            if not _cell_stable(oracle, cell):
-                report = ViolationReport("unstable-cell", [cell], step="step1")
-                return TesterResult(False, report, oracle.queries)
-            classified.append((cell, classify_wraparound(oracle, cell)))
+    # Step 1: unstable cells, then wraparound violating pairs.  One draw per
+    # line, rows first; the cells of each line are consecutive.
+    per_line = A_CELLS * cpe
+    row_lines = rng.integers(0, m, A_ROWS * cpe)
+    col_lines = rng.integers(0, n, A_ROWS * cpe)
+    along_rows = [rng.integers(0, n, per_line) for _ in row_lines]
+    along_cols = [rng.integers(0, m, per_line) for _ in col_lines]
+    rows = np.concatenate([np.repeat(row_lines, per_line), *along_cols])
+    cols = np.concatenate([*along_rows, np.repeat(col_lines, per_line)])
+    u = _first_unstable(oracle, rows, cols)
+    # The cells before u are classified, as the per-cell loop read them.
+    cells = zip(rows[:u].tolist(), cols[:u].tolist())
+    classified = [(cell, classify_wraparound(oracle, cell)) for cell in cells]
+    if u < len(rows):
+        report = ViolationReport("unstable-cell", [(int(rows[u]), int(cols[u]))], step="step1")
+        return TesterResult(False, report, oracle.queries)
     pair = _first_violating_pair(classified)
     if pair is not None:
         (c1, f1), (c2, f2) = classified[pair[0]], classified[pair[1]]
@@ -574,14 +599,13 @@ def run_tester(oracle: QueryOracle, params: TesterParams) -> TesterResult:
 
     # Step 2: interior and perimeter violations in sigma#.
     view = RectView(oracle, k)
-    samples = [
-        (int(i), int(j))
-        for i, j in zip(rng.integers(0, m, A_S * cpe), rng.integers(0, n, A_S * cpe))
-    ]
-    for cell in samples:
-        if not _cell_stable(oracle, cell):
-            report = ViolationReport("unstable-cell", [cell], step="step2")
-            return TesterResult(False, report, oracle.queries)
+    rows = rng.integers(0, m, A_S * cpe)
+    cols = rng.integers(0, n, A_S * cpe)
+    samples = list(zip(rows.tolist(), cols.tolist()))
+    u = _first_unstable(oracle, rows, cols)
+    if u < len(samples):
+        report = ViolationReport("unstable-cell", [samples[u]], step="step2")
+        return TesterResult(False, report, oracle.queries)
     for cell in samples:
         box = cross_region(view, cell, k)
         if box is None:
@@ -616,11 +640,31 @@ def _rect_inner_boundary(rect: Rect) -> list[Cell]:
     return cells
 
 
-def _cell_stable(oracle: QueryOracle, cell: Cell) -> bool:
-    return (
-        double_step_cell(oracle.read, oracle.m, oracle.n, THR2, cell)
-        == oracle.read(cell)
-    )
+# Offsets of a cell's 5x5 patch along one axis, and of its Gamma<=2 diamond:
+# the 13 cells `double_step_cell` reads.
+_PATCH = np.arange(-2, 3)
+_DIAMOND = np.array(
+    [(di, dj) for di in range(-2, 3) for dj in range(-2, 3) if abs(di) + abs(dj) <= 2]
+)
+
+
+def _first_unstable(oracle: QueryOracle, rows: np.ndarray, cols: np.ndarray) -> int:
+    """The first index u whose cell (rows[u], cols[u]) is unstable, or
+    len(rows) when every cell is stable.
+
+    Each cell's 5x5 patch is gathered uncharged and the stack stepped twice by
+    `threshold_step`; the centre depends only on its Gamma<=2 diamond, which
+    the patch's own wraparound never reaches.  Then the diamonds of cells
+    0..u are charged: exactly the reads of a `double_step_cell` loop that
+    stops at the first unstable cell.  Requires m, n >= 3, where a cell's
+    four neighbors are distinct cells of the torus as they are of the patch.
+    """
+    patch = oracle.gather(rows[:, None, None] + _PATCH[:, None], cols[:, None, None] + _PATCH)
+    two = threshold_step(threshold_step(patch, THR2.b), THR2.b)
+    changed = np.flatnonzero(two[:, 2, 2] != patch[:, 2, 2])
+    u = int(changed[0]) if changed.size else len(rows)
+    oracle.charge(rows[: u + 1, None] + _DIAMOND[:, 0], cols[: u + 1, None] + _DIAMOND[:, 1])
+    return u
 
 
 def _find_unstable_cell(cfg: TorusConfig) -> Cell:

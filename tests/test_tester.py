@@ -16,7 +16,7 @@ import pytest
 
 from torustab import THR2, TorusConfig, is_stable
 from torustab.generators import GenSpec, gen_hard_thr2, gen_stable_thr2, perturb
-from torustab.grid import is_cell_stable, moore
+from torustab.grid import double_step_cell, is_cell_stable, moore
 from torustab.stabilizer import rectangulate_exempt
 from torustab.structure import MONO, Rect, mono_components
 from torustab.tester import (
@@ -25,6 +25,7 @@ from torustab.tester import (
     RectView,
     TesterParams as TParams,
     Wrap,
+    _first_unstable,
     _first_violating_pair,
     border_violation,
     box_pattern,
@@ -140,6 +141,45 @@ class TestQueryOracle:
             oracle.read((int(i), int(j)))
             seen.add((int(i) % m, int(j) % n))
             assert oracle.queries == len(seen)
+
+
+    def test_gather_is_uncharged_and_charge_counts_distinct_cells(self):
+        rng = np.random.default_rng(46)
+        cfg = TorusConfig((rng.random((6, 9)) < 0.5).astype(np.uint8))
+        oracle = QueryOracle(cfg)
+        rows = rng.integers(-20, 20, (40, 3))
+        cols = rng.integers(-20, 20, (40, 3))
+        got = oracle.gather(rows, cols)
+        assert got.tolist() == [[cfg[(i, j)] for i, j in zip(r, c)] for r, c in zip(rows, cols)]
+        assert oracle.queries == 0
+        oracle.charge(rows, cols)
+        assert oracle._seen == {(int(i) % 6, int(j) % 9) for i, j in zip(rows.flat, cols.flat)}
+
+
+class TestFirstUnstable:
+    def test_matches_double_step_loop_and_its_reads(self):
+        # The screen against a per-cell loop that stops at the first unstable
+        # cell: the same index and, on fresh oracles, the same charged cells.
+        rng = np.random.default_rng(47)
+        stops = 0
+        for _ in range(3000):
+            m, n = (int(x) for x in rng.integers(3, 41, 2))
+            density = float(rng.choice([0.0, 0.02, 0.1, 0.3, 0.5]))
+            cfg = TorusConfig((rng.random((m, n)) < density).astype(np.uint8))
+            size = int(rng.integers(1, 41))
+            rows = rng.integers(-m, 2 * m, size)
+            cols = rng.integers(-n, 2 * n, size)
+            ref = QueryOracle(cfg)
+            want = size
+            for u, cell in enumerate(zip(rows.tolist(), cols.tolist())):
+                if double_step_cell(ref.read, m, n, THR2, cell) != ref.read(cell):
+                    want = u
+                    break
+            screen = QueryOracle(cfg)
+            assert _first_unstable(screen, rows, cols) == want, (m, n, density)
+            assert screen._seen == ref._seen
+            stops += want < size
+        assert 1000 < stops < 2500
 
 
 class TestRectangulation:
@@ -657,6 +697,41 @@ class TestFrozenWitnesses:
             assert got == want, (params.seed, got, want)
             kinds.add(got[2])
         assert kinds == {None, "unstable-cell", "wraparound-pair"}
+
+
+class TestStep2Rejections:
+    # Every Step 2 rejection of the family perturb(gen_stable_thr2(64x64,
+    # 3 rects, seed s, wraparound row when s is even), flips) at eps 0.5,
+    # c1 4, over s < 60, flips in (1, 2, 4) and tester seeds < 10; recorded
+    # from the per-cell stability loop.  Rows: s, flips, tester seed, kind,
+    # witness cells, queries.
+    PINNED = [
+        (1, 4, 8, "unstable-cell", [[30, 16]], 3216),
+        (14, 1, 3, "unstable-cell", [[9, 39]], 3110),
+        (14, 2, 3, "unstable-cell", [[9, 39]], 3110),
+        (14, 4, 3, "unstable-cell", [[9, 39]], 3110),
+        (16, 2, 9, "unstable-cell", [[34, 29]], 2889),
+        (30, 2, 7, "unstable-cell", [[6, 48]], 3093),
+        (37, 4, 8, "unstable-cell", [[42, 22]], 3222),
+        (39, 2, 9, "unstable-cell", [[62, 34]], 2862),
+        (49, 4, 6, "unstable-cell", [[2, 45]], 2918),
+        (53, 4, 8, "unstable-cell", [[48, 23]], 3223),
+    ]
+
+    @pytest.mark.parametrize("s, flips, t, kind, cells, queries", PINNED)
+    def test_decision_witness_and_queries_unchanged(self, s, flips, t, kind, cells, queries):
+        spec = GenSpec(64, 64, rects=3, seed=s, wraparound_row=s % 2 == 0)
+        cfg = perturb(gen_stable_thr2(spec), flips, np.random.default_rng(s))
+        res = run_tester(QueryOracle(cfg), TParams(eps=0.5, c1=4, seed=t))
+        v = res.violation
+        assert not res.accepted and not res.fallback
+        assert (v.kind, v.step, [list(c) for c in v.cells], res.queries) == (
+            kind,
+            "step2",
+            cells,
+            queries,
+        )
+        assert not is_cell_stable(cfg, THR2, v.cells[0])
 
 
 class TestNaiveTester:
