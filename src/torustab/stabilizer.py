@@ -162,7 +162,12 @@ def fix_wraparound_row(
 
 
 def rectangulate_exempt(a: np.ndarray, k: int, w_rows: Iterable[int]) -> np.ndarray:
-    """The k-rectangulation of `a`, leaving the rows in `w_rows` untouched."""
+    """The k-rectangulation of `a`, leaving the rows in `w_rows` untouched.
+
+    The whole-grid form of sigma#: it carries the exempt rows, which the lazy,
+    query-charged `tester.RectView` has no use for.  `TestRectangulation`
+    checks that the two agree when no row is exempt.
+    """
     m, n = a.shape
     di = np.array([edge_distance(i, m, k) for i in range(m)])[:, None]
     dj = np.array([edge_distance(j, n, k) for j in range(n)])[None, :]
@@ -427,7 +432,6 @@ def _transpose_box(box: BoundingBox) -> BoundingBox:
         rect=Rect(r.n, r.m, r.col0, r.width, r.row0, r.height),
         anchor=(box.anchor[1], box.anchor[0]),
         kind=box.kind,
-        k=box.k,
     )
 
 
@@ -494,7 +498,7 @@ def stabilize(
     wdist = [min((cyclic_distance(i, r, m2) for r in w_rows), default=m2 + 10) for i in range(m2)]
     pairs = _compatible_boxes(_collect_good_boxes(view, k, alpha), view)
     step3 = 0
-    box_stats = []
+    box_stats, rep_boxes = [], []
     for box, v in pairs:
         anchor_val = view.read(box.anchor)
         if all(wdist[i] > 2 for i in box.rect.rows()):
@@ -505,6 +509,7 @@ def stabilize(
             mod = _fix_box_near_w_inplace(work, box, w_rows, wdist, anchor_val)
         step3 += mod
         rep_box = box if use_rows else _transpose_box(box)
+        rep_boxes.append(rep_box)
         box_stats.append(
             {
                 "rect": [rep_box.rect.row0, rep_box.rect.height, rep_box.rect.col0, rep_box.rect.width],
@@ -527,12 +532,7 @@ def stabilize(
     if not is_stable(out, THR2):
         raise RuntimeError("stabilizer bug: output configuration is not stable")
 
-    if use_rows:
-        w_cells = {(r, c) for r in w_rows for c in range(n2)}
-        rep_boxes = [b for b, _ in pairs]
-    else:
-        w_cells = {(c, r) for r in w_rows for c in range(n2)}
-        rep_boxes = [_transpose_box(b) for b, _ in pairs]
+    w_cells = {(r, c) if use_rows else (c, r) for r in w_rows for c in range(n2)}
     report = StabilizationReport(
         axis="rows" if use_rows else "cols",
         i_rows=[r for r, _ in rows],

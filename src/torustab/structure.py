@@ -59,10 +59,6 @@ class Rect:
     width: int
 
     @property
-    def full_cols(self) -> bool:
-        return self.width == self.n
-
-    @property
     def almost_wraparound(self) -> bool:
         # One coordinate interval is the full cycle minus a single element.
         # On a 2-cycle that element's two neighbors are one cell, so the

@@ -27,9 +27,7 @@ from .grid import (
     classify_cells,
     cyclic_distance,
     double_step_cell,
-    is_stable,
     moore_offsets,
-    shifted,
     threshold_step,
     von_neumann,
 )
@@ -64,8 +62,7 @@ class QueryOracle:
 
     def read(self, cell: Cell) -> int:
         i, j = cell[0] % self.m, cell[1] % self.n
-        if not self._all:
-            self._seen.add((i, j))
+        self._seen.add((i, j))
         return self.cfg.a.item(i, j)
 
     def gather(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -133,7 +130,6 @@ class BoundingBox:
     rect: Rect
     anchor: Cell
     kind: str  # MONO or CHESS
-    k: int
 
 
 @dataclass
@@ -179,6 +175,11 @@ class RectView:
     cell (in the zeroed configuration) inside a tile's 3-boundary is zeroed.
     A dimension covered by a single tile has no tile borders and is left
     untouched.  Each sigma# read costs at most 9 underlying sigma reads.
+
+    sigma# keeps two forms.  This lazy one reads cell by cell, which is what
+    holds Step 2 to its query bound; the whole-grid
+    `stabilizer.rectangulate_exempt` also leaves exempt rows untouched.
+    `TestRectangulation` checks that the two agree.
     """
 
     def __init__(self, oracle: QueryOracle, k: int) -> None:
@@ -215,15 +216,28 @@ class RectView:
         return value
 
 
+# The Gamma<=3 window rule of a line through a cell, as (line offset, position
+# offset) pairs in read order; a column swaps each pair.  The line alternates
+# over positions -3..3; the neighboring lines are all 0 over positions -2..2;
+# and no adjacent pair of 1s lies fully inside the window at line offset +-2
+# (or straddles offsets +-2 and +-3 at position 0), since the extension
+# cannot zero it and it would force a monochromatic component at distance < 3.
+_LINE = [(0, d) for d in range(-3, 4)]
+_ZERO = [(dline, d) for dline in (-1, 1) for d in range(-2, 3)]
+_PAIRS = [
+    pair
+    for dline, out in ((-2, -3), (2, 3))
+    for pair in (((dline, -1), (dline, 0)), ((dline, 0), (dline, 1)), ((dline, 0), (out, 0)))
+]
+
+
 def _window_parity(oracle, cell: Cell, axis: str) -> Optional[int]:
     """The parity class of the chessboard wraparound that sigma[Gamma<=3(cell)]
     extends the cell's row (axis="row") or column to, or None.
 
-    The line's first window cell, at offset -3, fixes the only class that can
-    match.  The window constraints are: the line's in-window cells alternate;
-    the two neighboring lines are all 0 in the window; and no two adjacent 1s
-    fully inside the window force a monochromatic component at distance < 3
-    from the line.
+    Walks `_LINE`, `_ZERO` and `_PAIRS` and stops at the first broken clause;
+    a pair reads its second cell only when the first is 1.  The line's first
+    window cell fixes the only class that can match.
     """
     m, n = oracle.m, oracle.n
     r, c = cell
@@ -233,29 +247,24 @@ def _window_parity(oracle, cell: Cell, axis: str) -> Optional[int]:
     if length % 2 != 0 or length < 4:
         return None
 
-    def at(dline: int, dpos: int) -> int:
-        di, dj = (dline, dpos) if axis == "row" else (dpos, dline)
-        return oracle.read(((r + di) % m, (c + dj) % n))
+    # The oracle's `read` takes coordinates mod (m, n).
+    if axis == "row":
+        def at(offset: Cell) -> int:
+            return oracle.read((r + offset[0], c + offset[1]))
+    else:
+        def at(offset: Cell) -> int:
+            return oracle.read((r + offset[1], c + offset[0]))
 
-    first = at(0, -3)
-    # The line itself must alternate over the window.
-    for dpos in range(-2, 4):
-        if at(0, dpos) != first ^ ((dpos + 3) % 2):
+    first = want = at(_LINE[0])
+    for offset in _LINE[1:]:
+        want ^= 1
+        if at(offset) != want:
             return None
-    # The two neighboring lines must be all-zero in the window.
-    for dline in (-1, 1):
-        for dpos in range(-2, 3):
-            if at(dline, dpos) != 0:
-                return None
-    # No monochromatic component at distance < 3: any adjacent pair of 1s
-    # lying fully inside the window at line offset 2 (or straddling offsets
-    # 2 and 3) cannot be zeroed by the extension, so it forces one.
-    for dline in (-2, 2):
-        for dpos in (-1, 0):
-            if at(dline, dpos) == 1 and at(dline, dpos + 1) == 1:
-                return None
-        step = 1 if dline > 0 else -1
-        if at(dline, 0) == 1 and at(dline + step, 0) == 1:
+    for offset in _ZERO:
+        if at(offset) != 0:
+            return None
+    for p, q in _PAIRS:
+        if at(p) == 1 and at(q) == 1:
             return None
     return (pos + first) % 2
 
@@ -268,27 +277,28 @@ def classify_wraparound(oracle, cell: Cell) -> Wrap:
 
 
 def _row_wraparound_plane(a: np.ndarray) -> np.ndarray:
-    """`_window_parity` along rows for every cell: the parity class, or -1."""
+    """`_window_parity` along rows for every cell: the parity class, or -1.
+    Each offset of the window tables reads one view of the wrapped grid."""
     m, n = a.shape
     plane = np.full((m, n), -1, dtype=np.int8)
     if n % 2 != 0 or n < 4:
         return plane
 
-    one = a == 1
-    # The two neighboring lines are all 0 over positions -2..2.
-    zero_span = np.logical_and.reduce([shifted(~one, 0, d) for d in range(-2, 3)])
-    ok = shifted(zero_span, -1, 0) & shifted(zero_span, 1, 0)
-    # No adjacent pair of 1s inside the window at line offset +-2, or
-    # straddling offsets +-2 and +-3 at position 0.
-    pair = one & shifted(one, 0, 1)
-    for dline, step in ((-2, -1), (2, 1)):
-        ok &= ~shifted(pair, dline, -1) & ~shifted(pair, dline, 0)
-        ok &= ~(shifted(one, dline, 0) & shifted(one, dline + step, 0))
-    # The line alternates over positions -3..3; its parity class then puts
-    # the cell's own state on the matching positions.
-    flip = one != shifted(one, 0, 1)
-    ok &= np.logical_and.reduce([shifted(flip, 0, d) for d in range(-3, 3)])
-    parity = (np.arange(n) + 1 + one) % 2
+    # The grid wrapped 3 cells past each side, so every offset is a view.
+    one = (a == 1)[np.ix_(np.arange(-3, m + 3) % m, np.arange(-3, n + 3) % n)]
+
+    def at(offset: Cell) -> np.ndarray:
+        di, dj = offset
+        return one[3 + di : 3 + di + m, 3 + dj : 3 + dj + n]
+
+    ok = np.ones((m, n), dtype=bool)
+    for p, q in zip(_LINE, _LINE[1:]):
+        ok &= at(p) != at(q)
+    for offset in _ZERO:
+        ok &= ~at(offset)
+    for p, q in _PAIRS:
+        ok &= ~(at(p) & at(q))
+    parity = (np.arange(n) + at(_LINE[0])) % 2
     plane[ok] = parity[ok]
     return plane
 
@@ -445,7 +455,7 @@ def cross_region(view: RectView, cell: Cell, k: int) -> Optional[BoundingBox]:
         (cell[1] - left) % n,
         min(n, left + right + 1),
     )
-    return BoundingBox(rect=rect, anchor=cell, kind=kind, k=k)
+    return BoundingBox(rect=rect, anchor=cell, kind=kind)
 
 
 def rect_ring(rect: Rect, r: int) -> list[Cell]:
@@ -564,11 +574,10 @@ def run_tester(oracle: QueryOracle, params: TesterParams) -> TesterResult:
     rng = np.random.default_rng(params.seed)
 
     if min(m, n) < 3 * k:
-        oracle.read_all()
-        if is_stable(oracle.cfg, THR2):
+        bad = np.argwhere(classify_cells(oracle.read_all(), THR2) == 2)
+        if len(bad) == 0:
             return TesterResult(True, None, oracle.queries, fallback=True)
-        bad = _find_unstable_cell(oracle.cfg)
-        report = ViolationReport("unstable-cell", [bad], step="fallback")
+        report = ViolationReport("unstable-cell", [tuple(bad[0].tolist())], step="fallback")
         return TesterResult(False, report, oracle.queries, fallback=True)
 
     cpe = params.per_eps
@@ -625,19 +634,12 @@ def run_tester(oracle: QueryOracle, params: TesterParams) -> TesterResult:
 
 
 def _rect_inner_boundary(rect: Rect) -> list[Cell]:
-    """The 1-boundary of a rectangle: its cells adjacent to the outside."""
-    cells = []
-    rows = rect.rows()
-    cols = rect.cols()
-    if rect.height == rect.m and rect.width == rect.n:
-        return []
-    for i in rows:
-        on_row_edge = rect.height < rect.m and i in (rows[0], rows[-1])
-        for j in cols:
-            on_col_edge = rect.width < rect.n and j in (cols[0], cols[-1])
-            if on_row_edge or on_col_edge:
-                cells.append((i, j))
-    return cells
+    """The 1-boundary of a rectangle: its cells adjacent to the outside, row
+    by row from (row0, col0); built from its edge rows and end columns."""
+    rows, cols = rect.rows(), rect.cols()
+    edges = {rows[0], rows[-1]} if rect.height < rect.m else set()
+    ends = [] if rect.width == rect.n else cols[:1] if rect.width == 1 else [cols[0], cols[-1]]
+    return [(i, j) for i in rows for j in (cols if i in edges else ends)]
 
 
 # Offsets of a cell's 5x5 patch along one axis, and of its Gamma<=2 diamond:
@@ -665,14 +667,6 @@ def _first_unstable(oracle: QueryOracle, rows: np.ndarray, cols: np.ndarray) -> 
     u = int(changed[0]) if changed.size else len(rows)
     oracle.charge(rows[: u + 1, None] + _DIAMOND[:, 0], cols[: u + 1, None] + _DIAMOND[:, 1])
     return u
-
-
-def _find_unstable_cell(cfg: TorusConfig) -> Cell:
-    kinds = classify_cells(cfg, THR2)
-    bad = np.argwhere(kinds == 2)
-    if len(bad) == 0:
-        raise RuntimeError("no unstable cell in an unstable configuration?")
-    return (int(bad[0][0]), int(bad[0][1]))
 
 
 def run_naive_tester(

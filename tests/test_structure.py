@@ -108,7 +108,7 @@ class TestRect:
     def test_full_cycle(self):
         cells = {(2, j) for j in range(6)}
         r = as_rect(4, 6, cells)
-        assert r is not None and r.full_cols and not r.almost_wraparound
+        assert r is not None and r.width == r.n and not r.almost_wraparound
 
     def test_almost_wraparound_any_thickness(self):
         assert Rect(5, 8, 0, 4, 0, 3).almost_wraparound  # height m-1

@@ -25,8 +25,12 @@ from torustab.tester import (
     RectView,
     TesterParams as TParams,
     Wrap,
+    _LINE,
+    _PAIRS,
+    _ZERO,
     _first_unstable,
     _first_violating_pair,
+    _rect_inner_boundary,
     border_violation,
     box_pattern,
     classify_wraparound,
@@ -267,6 +271,16 @@ class TestClassifyWraparound:
                         parity,
                     )
                     checks += 1
+
+    def test_window_tables_cover_the_radius_3_diamond(self):
+        # query_cap charges 25 reads per Step 1 cell and line: the window
+        # tables' cells, along rows and swapped for columns, are exactly the
+        # 25 cells of Gamma<=3.
+        diamond = {(di, dj) for di in range(-3, 4) for dj in range(-3, 4) if abs(di) + abs(dj) <= 3}
+        cells = _LINE + _ZERO + [c for pair in _PAIRS for c in pair]
+        assert len(diamond) == 25
+        assert set(cells) == diamond
+        assert {(dj, di) for di, dj in cells} == diamond
 
     def test_read_sets_pinned_inside_radius_3(self):
         # query_cap charges each Step 1 cell 25 reads, which assumes the
@@ -555,7 +569,7 @@ class TestRectRing:
                 for r in (1, 2, 3):
                     want = [c for c, d in zip(cells, to_rect) if d == r]
                     assert rect_ring(rect, r) == want, (rect, r)
-                box = BoundingBox(rect, (row0, col0), MONO, 1)
+                box = BoundingBox(rect, (row0, col0), MONO)
                 for c, d in zip(cells, to_rect):
                     try:
                         perimeter_violation(view, box, c)
@@ -563,6 +577,26 @@ class TestRectRing:
                     except ValueError:
                         raised = True
                     assert raised == (d not in (1, 2)), (rect, c)
+
+
+class TestRectInnerBoundary:
+    def test_matches_brute_force_in_row_major_order(self):
+        """Every rectangle on every torus from 1x1 to 7x7: the 1-boundary is
+        the rectangle's cells with a von Neumann neighbor outside it, listed
+        row by row from (row0, col0)."""
+        for m, n in itertools.product(range(1, 8), repeat=2):
+            for row0, height, col0, width in itertools.product(
+                range(m), range(1, m + 1), range(n), range(1, n + 1)
+            ):
+                rect = Rect(m, n, row0, height, col0, width)
+                want = [
+                    (i, j)
+                    for i in rect.rows()
+                    for j in rect.cols()
+                    if any(((i + di) % m, (j + dj) % n) not in rect
+                           for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)))
+                ]
+                assert _rect_inner_boundary(rect) == want, rect
 
 
 class TestRunTester:
