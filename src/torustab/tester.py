@@ -46,7 +46,8 @@ class QueryOracle:
     """Query access to a configuration with distinct-cell read accounting.
 
     Every first read of a cell costs one query; repeat reads are free.  A
-    single oracle instance serves one tester run (mutable counter).
+    single oracle instance serves one tester run (mutable counter).  The
+    read cells are kept as integer keys i * n + j.
 
     `read` charges the cell it returns.  `gather` returns the states at index
     arrays without charging them, so a caller that screens many cells at once
@@ -57,12 +58,12 @@ class QueryOracle:
         self.cfg = cfg
         self.m = cfg.m
         self.n = cfg.n
-        self._seen: set[Cell] = set()
+        self._seen: set[int] = set()
         self._all = False
 
     def read(self, cell: Cell) -> int:
         i, j = cell[0] % self.m, cell[1] % self.n
-        self._seen.add((i, j))
+        self._seen.add(i * self.n + j)
         return self.cfg.a.item(i, j)
 
     def gather(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -71,11 +72,8 @@ class QueryOracle:
 
     def charge(self, rows: np.ndarray, cols: np.ndarray) -> None:
         """Count the cells at index arrays of one shape, taken mod (m, n), as
-        read; converted to tuples in bounded chunks to bound memory."""
-        rows, cols = (rows % self.m).ravel(), (cols % self.n).ravel()
-        for lo in range(0, rows.size, 1 << 14):
-            chunk = slice(lo, lo + (1 << 14))
-            self._seen.update(zip(rows[chunk].tolist(), cols[chunk].tolist()))
+        read; their keys i * n + j join the read set in one update."""
+        self._seen.update(((rows % self.m) * self.n + cols % self.n).ravel().tolist())
 
     def read_all(self) -> TorusConfig:
         """Read every cell at once (used by the small-torus fallback);
@@ -231,53 +229,78 @@ _PAIRS = [
 ]
 
 
-def _window_parity(oracle, cell: Cell, axis: str) -> Optional[int]:
-    """The parity class of the chessboard wraparound that sigma[Gamma<=3(cell)]
-    extends the cell's row (axis="row") or column to, or None.
+# The window tables as one offset array in read order: 7 line entries, 10
+# zero entries, then the pairs' cells, each pair's first and second in turn.
+_WINDOW = np.array(_LINE + _ZERO + [cell for pair in _PAIRS for cell in pair])
 
-    Walks `_LINE`, `_ZERO` and `_PAIRS` and stops at the first broken clause;
-    a pair reads its second cell only when the first is 1.  The line's first
-    window cell fixes the only class that can match.
+
+def _read_mask(one: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which entries of each window the early-exit walk reads, and whether
+    every clause holds, for windows of states (one window per row, in
+    `_WINDOW` order, True for 1).
+
+    The walk reads the line up to its first repeat, the zero lines up to
+    their first 1, and each pair's first cell until a clash, its second cell
+    only when the first is 1.  The clauses are prefix ANDs along the window.
     """
-    m, n = oracle.m, oracle.n
-    r, c = cell
-    length, pos = (n, c) if axis == "row" else (m, r)
-    # An alternating line needs an even length; on a 2-cycle its 0 cell has
-    # a single distinct 1 neighbor, so the line does not toggle.
-    if length % 2 != 0 or length < 4:
-        return None
+    line, zero = one[:, :7], one[:, 7:17]
+    first, second = one[:, 17::2], one[:, 18::2]
+    alternates = np.logical_and.accumulate(line[:, 1:] != line[:, :-1], axis=1)
+    zeros = np.logical_and.accumulate(~zero, axis=1) & alternates[:, -1:]
+    clean = np.logical_and.accumulate(~(first & second), axis=1) & zeros[:, -1:]
+    read = np.ones_like(one)
+    read[:, 2:7] = alternates[:, :-1]
+    read[:, 7:8] = alternates[:, -1:]
+    read[:, 8:17] = zeros[:, :-1]
+    read[:, 17::2] = np.concatenate([zeros[:, -1:], clean[:, :-1]], axis=1)
+    read[:, 18::2] = read[:, 17::2] & first
+    return read, clean[:, -1]
 
-    # The oracle's `read` takes coordinates mod (m, n).
-    if axis == "row":
-        def at(offset: Cell) -> int:
-            return oracle.read((r + offset[0], c + offset[1]))
-    else:
-        def at(offset: Cell) -> int:
-            return oracle.read((r + offset[1], c + offset[0]))
 
-    first = want = at(_LINE[0])
-    for offset in _LINE[1:]:
-        want ^= 1
-        if at(offset) != want:
-            return None
-    for offset in _ZERO:
-        if at(offset) != 0:
-            return None
-    for p, q in _PAIRS:
-        if at(p) == 1 and at(q) == 1:
-            return None
-    return (pos + first) % 2
+def _window_parities(
+    oracle: QueryOracle, rows: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The row and column wraparound parities of the cells (rows, cols) as two
+    int8 arrays: the parity class of the chessboard wraparound that
+    sigma[Gamma<=3(cell)] extends the line to, or -1.
+
+    Per axis, every cell's window is gathered at once, uncharged, and the
+    entries that a per-cell walk with early exits reads (`_read_mask`) are
+    charged.  A line's first window cell fixes the only class that can match.
+    An alternating line needs an even length; on a 2-cycle its 0 cell has a
+    single distinct 1 neighbor, so shorter lines read nothing.
+    """
+    rows, cols = rows % oracle.m, cols % oracle.n
+    out = []
+    # A column swaps each offset: (line, position) is (column, row).
+    for length, pos, (dr, dc) in ((oracle.n, cols, _WINDOW.T), (oracle.m, rows, _WINDOW.T[::-1])):
+        parity = np.full(len(rows), -1, dtype=np.int8)
+        if length % 2 == 0 and length >= 4:
+            wr, wc = rows[:, None] + dr, cols[:, None] + dc
+            one = oracle.gather(wr, wc) == 1
+            read, ok = _read_mask(one)
+            oracle.charge(wr[read], wc[read])
+            parity[ok] = ((pos + one[:, 0]) % 2)[ok]
+        out.append(parity)
+    return out[0], out[1]
+
+
+def _wrap_at(row_par: np.ndarray, col_par: np.ndarray, s: int) -> Wrap:
+    """Entry s of two parity arrays as a Wrap (-1 is None)."""
+    return Wrap(*(None if p[s] < 0 else int(p[s]) for p in (row_par, col_par)))
 
 
 def classify_wraparound(oracle, cell: Cell) -> Wrap:
-    """Wraparound consistency of a cell, reading only Gamma<=3(cell) through
-    `oracle` (a QueryOracle or a TorusConfig)."""
-    cell = (cell[0] % oracle.m, cell[1] % oracle.n)
-    return Wrap(_window_parity(oracle, cell, "row"), _window_parity(oracle, cell, "col"))
+    """Wraparound consistency of a cell: `_window_parities` of that one cell,
+    reading only Gamma<=3(cell) through `oracle` (a QueryOracle, or a
+    TorusConfig read through a fresh one)."""
+    if not isinstance(oracle, QueryOracle):
+        oracle = QueryOracle(oracle)
+    return _wrap_at(*_window_parities(oracle, np.array([cell[0]]), np.array([cell[1]])), 0)
 
 
 def _row_wraparound_plane(a: np.ndarray) -> np.ndarray:
-    """`_window_parity` along rows for every cell: the parity class, or -1.
+    """`_window_parities` along rows for every cell: the parity class, or -1.
     Each offset of the window tables reads one view of the wrapped grid."""
     m, n = a.shape
     plane = np.full((m, n), -1, dtype=np.int8)
@@ -327,56 +350,85 @@ def is_violating_pair(cell1: Cell, f1: Wrap, cell2: Cell, f2: Wrap) -> bool:
     )
 
 
-def _first_violating_pair(
-    classified: list[tuple[Cell, Wrap]],
+def _next_run(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For each position of two parallel sequences, the position where the
+    next run of equal (a, b) starts, or len(a)."""
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    return np.append(np.flatnonzero(new)[1:], len(a))[np.cumsum(new) - 1]
+
+
+def _next_other_key(bucket: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """For each entry, the smallest later index in its bucket whose key
+    differs from its own, or len(bucket) when there is none.
+
+    Sorted by (bucket, index), that partner is the start of the next run of
+    equal (bucket, key), provided the run is still inside the bucket.
+    """
+    size = len(bucket)
+    order = np.argsort(bucket, kind="stable")
+    b = bucket[order]
+    nxt = _next_run(b, key[order])
+    has = nxt < size
+    has[has] = b[nxt[has]] == b[has]
+    partner = np.full(size, size)
+    partner[order[has]] = order[nxt[has]]
+    return partner
+
+
+def _next_other_cell(
+    starts: np.ndarray, ends: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """For each entry in the mask `starts`, the smallest later index in the
+    mask `ends` at a different cell; len(rows) when there is none, and for
+    entries outside `starts`.
+
+    A `searchsorted` over the indices in `ends` finds the first later one;
+    when it sits at the entry's own cell, the start of the next run of equal
+    cells among those indices is taken instead.
+    """
+    size = len(rows)
+    js = np.flatnonzero(ends)
+    jr, jc = rows[js], cols[js]
+    skip = _next_run(jr, jc)
+    starts = np.flatnonzero(starts)
+    t = np.searchsorted(js, starts, side="right")
+    here = t < len(js)
+    th, sh = t[here], starts[here]
+    t[here] = np.where((jr[th] == rows[sh]) & (jc[th] == cols[sh]), skip[th], th)
+    partner = np.full(size, size)
+    partner[starts] = np.append(js, size)[t]
+    return partner
+
+
+def _first_wrap_pair(
+    rows: np.ndarray, cols: np.ndarray, row_par: np.ndarray, col_par: np.ndarray
 ) -> Optional[tuple[int, int]]:
-    """The first (i, j), i < j, in lexicographic order whose entries of
-    ``classified`` form a violating pair, or None; O(len(classified)).
+    """The first (i, j), i < j, in lexicographic order whose cells
+    (rows, cols) and parities (-1 for None) form a violating pair, or None;
+    O(S log S) for S entries.
 
     This is the pair a nested ``i < j`` loop over ``is_violating_pair``
     returns.  Entries at equal cells must carry equal parities, as they do
-    when all are classified on one configuration.  The scan runs from last
-    to first; each bucket holds its smallest later index, that entry's key,
-    and the smallest later index whose key differs from that one:
-    - clauses 1-2: a bucket per row (column) index, keyed by the row (column)
-      parity; differing parities imply one side is not None and, by the
-      precondition, that the cells differ;
-    - clause 3: a bucket of all entries with a row parity and one of all
-      with a column parity, keyed by cell, since a cell never pairs with
-      itself.
+    when all are classified on one configuration.  Each entry's smallest
+    partner is the least over the clauses:
+    - clauses 1-2: the same row (column) index and another row (column)
+      parity; differing parities imply, by the precondition, that the cells
+      differ;
+    - clause 3: a row parity and a later column parity at another cell, or a
+      column parity and a later row parity.
     """
-    later: dict = {}
-
-    def partner(bucket, key) -> Optional[int]:
-        """Smallest later index in the bucket whose key is not ``key``."""
-        got = later.get(bucket)
-        if got is None:
-            return None
-        return got[0] if got[1] != key else got[2]
-
-    def push(bucket, i: int, key) -> None:
-        got = later.get(bucket)
-        other = None if got is None else got[2] if got[1] == key else got[0]
-        later[bucket] = (i, key, other)
-
-    best = None
-    for i in range(len(classified) - 1, -1, -1):
-        cell, f = classified[i]
-        found = [partner(("row", cell[0]), f.row), partner(("col", cell[1]), f.col)]
-        if f.row is not None:
-            found.append(partner("col_wrap", cell))
-        if f.col is not None:
-            found.append(partner("row_wrap", cell))
-        found = [j for j in found if j is not None]
-        if found:
-            best = (i, min(found))
-        push(("row", cell[0]), i, f.row)
-        push(("col", cell[1]), i, f.col)
-        if f.row is not None:
-            push("row_wrap", i, cell)
-        if f.col is not None:
-            push("col_wrap", i, cell)
-    return best
+    has_row, has_col = row_par >= 0, col_par >= 0
+    partner = np.minimum.reduce(
+        [
+            _next_other_key(rows, row_par),
+            _next_other_key(cols, col_par),
+            _next_other_cell(has_row, has_col, rows, cols),
+            _next_other_cell(has_col, has_row, rows, cols),
+        ]
+    )
+    hit = np.flatnonzero(partner < len(rows))
+    return None if hit.size == 0 else (int(hit[0]), int(partner[hit[0]]))
 
 
 def _is_mono_cell(view: RectView, cell: Cell) -> bool:
@@ -557,17 +609,21 @@ def run_tester(oracle: QueryOracle, params: TesterParams) -> TesterResult:
     Step 1 hunts for unstable cells and wraparound violating pairs along
     sampled rows and columns.  It draws all S = 2 A_ROWS A_CELLS
     ceil(1/eps)^2 cells up front and screens them for stability in one batch
-    (`_first_unstable`); the first unstable cell is the witness.  Otherwise it
-    pairs their row and column wraparound parities in O(S) and reports the
-    first violating pair in sampling order (smallest first index, then
-    smallest second).  Step 2 samples A_S ceil(1/eps) cells, screens them the
-    same way, finds each sampled monochromatic/chessboard cell's bounding box
-    in sigma#, checks its border (`border_violation`) and then A_BOX
-    ceil(1/eps) sampled cells of its interior.  The screens charge exactly
-    the cells a per-cell loop in sampling order would read, so queries match
-    it.  When the torus is too small for the box machinery (min(m, n) < 3k)
-    the whole configuration is read instead and the exact answer returned;
-    the read count mn < 9k^2 respects the cap.
+    (`_first_unstable`); the first unstable cell is the witness.  The row and
+    column wraparound parities of the cells before it come from one gather
+    per axis, charged through read masks (`_window_parities`; the per-cell
+    `classify_wraparound` is the same rule on one cell).  With no unstable
+    cell, a search on those arrays (`_first_wrap_pair`) reports the first
+    violating pair in sampling order (smallest first index, then smallest
+    second), re-checked by `is_violating_pair`.  Step 2 samples A_S
+    ceil(1/eps) cells, screens them the same way, finds each sampled
+    monochromatic/chessboard cell's bounding box in sigma#, checks its border
+    (`border_violation`) and then A_BOX ceil(1/eps) sampled cells of its
+    interior.  The screens and the window gathers charge exactly the cells a
+    per-cell loop in sampling order would read, so queries match it.  When
+    the torus is too small for the box machinery (min(m, n) < 3k) the whole
+    configuration is read instead and the exact answer returned; the read
+    count mn < 9k^2 respects the cap.
     """
     m, n = oracle.m, oracle.n
     k = params.k
@@ -592,17 +648,18 @@ def run_tester(oracle: QueryOracle, params: TesterParams) -> TesterResult:
     rows = np.concatenate([np.repeat(row_lines, per_line), *along_cols])
     cols = np.concatenate([*along_rows, np.repeat(col_lines, per_line)])
     u = _first_unstable(oracle, rows, cols)
-    # The cells before u are classified, as the per-cell loop read them.
-    cells = zip(rows[:u].tolist(), cols[:u].tolist())
-    classified = [(cell, classify_wraparound(oracle, cell)) for cell in cells]
+    # The cells before u get their window parities, as the per-cell loop
+    # read them.
+    row_par, col_par = _window_parities(oracle, rows[:u], cols[:u])
     if u < len(rows):
         report = ViolationReport("unstable-cell", [(int(rows[u]), int(cols[u]))], step="step1")
         return TesterResult(False, report, oracle.queries)
-    pair = _first_violating_pair(classified)
+    pair = _first_wrap_pair(rows, cols, row_par, col_par)
     if pair is not None:
-        (c1, f1), (c2, f2) = classified[pair[0]], classified[pair[1]]
+        c1, c2 = ((int(rows[s]), int(cols[s])) for s in pair)
+        f1, f2 = (_wrap_at(row_par, col_par, s) for s in pair)
         if not is_violating_pair(c1, f1, c2, f2):
-            raise RuntimeError(f"bucketed pair search returned a non-violating pair {pair}")
+            raise RuntimeError(f"array pair search returned a non-violating pair {pair}")
         report = ViolationReport("wraparound-pair", [c1, c2], step="step1")
         return TesterResult(False, report, oracle.queries)
 

@@ -29,8 +29,9 @@ from torustab.tester import (
     _PAIRS,
     _ZERO,
     _first_unstable,
-    _first_violating_pair,
+    _first_wrap_pair,
     _rect_inner_boundary,
+    _window_parities,
     border_violation,
     box_pattern,
     classify_wraparound,
@@ -157,7 +158,8 @@ class TestQueryOracle:
         assert got.tolist() == [[cfg[(i, j)] for i, j in zip(r, c)] for r, c in zip(rows, cols)]
         assert oracle.queries == 0
         oracle.charge(rows, cols)
-        assert oracle._seen == {(int(i) % 6, int(j) % 9) for i, j in zip(rows.flat, cols.flat)}
+        want = {(int(i) % 6, int(j) % 9) for i, j in zip(rows.flat, cols.flat)}
+        assert {divmod(key, 9) for key in oracle._seen} == want
 
 
 class TestFirstUnstable:
@@ -305,11 +307,77 @@ class TestClassifyWraparound:
             cell = (int(rng.integers(m)), int(rng.integers(n)))
             oracle = QueryOracle(TorusConfig(a))
             classify_wraparound(oracle, cell)
-            reads = sorted(oracle._seen)
+            reads = sorted(divmod(key, n) for key in oracle._seen)
             assert all(torus_distance(m, n, cell, p) <= 3 for p in reads), (a.tolist(), cell)
             read_sets.append(reads)
         digest = hashlib.sha256(json.dumps(read_sets).encode()).hexdigest()
         assert digest == "e1f461f055968b99195c62ce7c8c6938bba3fa6fbd51bc8e229ea8a3c570486b"
+
+
+def walk_window(oracle, cell, axis):
+    """Reference: the window rule walked cell by cell through `oracle.read`,
+    stopping at the first broken clause; a pair reads its second cell only
+    when its first is 1.  Returns the parity class or None."""
+    r, c = cell[0] % oracle.m, cell[1] % oracle.n
+    length, pos = (oracle.n, c) if axis == "row" else (oracle.m, r)
+    if length % 2 != 0 or length < 4:
+        return None
+
+    def at(offset):
+        dline, d = offset
+        return oracle.read((r + dline, c + d) if axis == "row" else (r + d, c + dline))
+
+    first = want = at(_LINE[0])
+    for offset in _LINE[1:]:
+        want ^= 1
+        if at(offset) != want:
+            return None
+    if any(at(offset) != 0 for offset in _ZERO):
+        return None
+    if any(at(p) == 1 and at(q) == 1 for p, q in _PAIRS):
+        return None
+    return (pos + first) % 2
+
+
+class TestWindowParities:
+    """The batch `_window_parities` against a per-cell early-exit walk."""
+
+    def test_matches_per_cell_walk_and_its_reads(self):
+        rng = np.random.default_rng(49)
+        flagged = 0
+        for trial in range(3000):
+            m, n = (int(x) for x in rng.integers(1, 14, 2))
+            style = trial % 3
+            if style == 0:
+                a = (rng.random((m, n)) < rng.uniform(0.05, 0.6)).astype(np.uint8)
+            else:
+                a = np.zeros((m, n), np.uint8)
+                if style == 1:
+                    a[int(rng.integers(m)), :] = (np.arange(n) + rng.integers(2)) % 2
+                else:
+                    a[:, int(rng.integers(n))] = (np.arange(m) + rng.integers(2)) % 2
+                if rng.random() < 0.5:
+                    a ^= (rng.random((m, n)) < 0.05).astype(np.uint8)
+            cfg = TorusConfig(a)
+            size = int(rng.integers(0, 21))
+            rows = rng.integers(-m, 2 * m, size)
+            cols = rng.integers(-n, 2 * n, size)
+            ref = QueryOracle(cfg)
+            want = [
+                [walk_window(ref, cell, axis) for cell in zip(rows.tolist(), cols.tolist())]
+                for axis in ("row", "col")
+            ]
+            batch = QueryOracle(cfg)
+            got = _window_parities(batch, rows, cols)
+            for par, w in zip(got, want):
+                assert par.dtype == np.int8 and par.shape == (size,)
+                assert [None if p < 0 else int(p) for p in par] == w, (a.tolist(), rows, cols)
+            assert batch._seen == ref._seen, (a.tolist(), rows, cols)
+            for s, cell in enumerate(zip(rows.tolist(), cols.tolist())):
+                f = classify_wraparound(cfg, cell)
+                assert (f.row, f.col) == (want[0][s], want[1][s])
+            flagged += sum(p is not None for w in want for p in w)
+        assert flagged > 500
 
 
 class TestWraparoundPlanes:
@@ -382,6 +450,20 @@ def nested_first_pair(classified):
     return None
 
 
+def array_first_pair(classified):
+    """`_first_wrap_pair` on a list of (cell, Wrap) entries."""
+    rows, cols, row_par, col_par = (
+        np.array(list(values), dtype=dtype)
+        for values, dtype in [
+            ((c[0] for c, _ in classified), np.int64),
+            ((c[1] for c, _ in classified), np.int64),
+            ((-1 if f.row is None else f.row for _, f in classified), np.int8),
+            ((-1 if f.col is None else f.col for _, f in classified), np.int8),
+        ]
+    )
+    return _first_wrap_pair(rows, cols, row_par, col_par)
+
+
 # Every value a window can produce: no parity, or parity 0 or 1, per axis.
 ALL_FLAGS = [Wrap(row, col) for row in (None, 0, 1) for col in (None, 0, 1)]
 
@@ -410,21 +492,46 @@ class TestFirstViolatingPair:
         for _ in range(5000):
             classified = self.random_flag_list(rng)
             want = nested_first_pair(classified)
-            assert _first_violating_pair(classified) == want, classified
+            assert array_first_pair(classified) == want, classified
             found += want is not None
             sizes += len(classified) == 16
         assert 1000 < found < 4000 and sizes > 100
 
+    def test_long_lists_with_runs_of_one_cell(self):
+        # Up to 200 entries, each cell repeated in a run of 1-8 consecutive
+        # entries, so that the clause-3 search lands on the entry's own cell
+        # and must step to the next run of another cell.
+        rng = np.random.default_rng(48)
+        found = long = 0
+        for _ in range(600):
+            size = int(rng.integers(1, 201))
+            side = int(rng.integers(1, 9))
+            sparse = rng.random() < 0.5
+            flags = {}
+            classified = []
+            while len(classified) < size:
+                cell = (int(rng.integers(side)), int(rng.integers(side)))
+                if cell not in flags:
+                    pick = rng.choice([0, 0, 0, 0, 1, 3]) if sparse else rng.integers(9)
+                    flags[cell] = ALL_FLAGS[int(pick)]
+                classified += [(cell, flags[cell])] * int(rng.integers(1, 9))
+            classified = classified[:size]
+            want = nested_first_pair(classified)
+            assert array_first_pair(classified) == want, classified
+            found += want is not None
+            long += want is not None and want[1] - want[0] > 8
+        assert 200 < found < 600 and long > 20
+
     def test_empty_and_single(self):
-        assert _first_violating_pair([]) is None
-        assert _first_violating_pair([((0, 0), ALL_FLAGS[-1])]) is None
+        assert array_first_pair([]) is None
+        assert array_first_pair([((0, 0), ALL_FLAGS[-1])]) is None
 
     def test_cell_never_pairs_with_itself(self):
         both = Wrap(row=0, col=1)
         classified = [((1, 2), both), ((1, 2), both), ((1, 2), both)]
-        assert _first_violating_pair(classified) is None
+        assert array_first_pair(classified) is None
         classified.append(((3, 3), Wrap(row=1)))
-        assert _first_violating_pair(classified) == (0, 3)
+        assert array_first_pair(classified) == (0, 3)
 
     def test_smallest_first_index_wins(self):
         row = Wrap(row=0)
@@ -439,7 +546,7 @@ class TestFirstViolatingPair:
             ((5, 5), col),
             ((0, 6), Wrap(row=1)),
         ]
-        assert _first_violating_pair(classified) == (0, 5)
+        assert array_first_pair(classified) == (0, 5)
         assert nested_first_pair(classified) == (0, 5)
 
 
