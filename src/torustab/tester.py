@@ -46,8 +46,12 @@ class QueryOracle:
     """Query access to a configuration with distinct-cell read accounting.
 
     Every first read of a cell costs one query; repeat reads are free.  A
-    single oracle instance serves one tester run (mutable counter).  The
-    read cells are kept as integer keys i * n + j.
+    single oracle instance serves one tester run (mutable counter).  Reads
+    are logged as integer keys i * n + j: `read` appends its one key to a
+    list and `charge` appends an array of keys, so the log grows with the
+    reads, never with mn.  The log is deduplicated when counted: `queries`
+    sorts the keys logged since its last call and merges them into the
+    sorted distinct keys it keeps in their place.
 
     `read` charges the cell it returns.  `gather` returns the states at index
     arrays without charging them, so a caller that screens many cells at once
@@ -58,22 +62,28 @@ class QueryOracle:
         self.cfg = cfg
         self.m = cfg.m
         self.n = cfg.n
-        self._seen: set[int] = set()
+        self._flat = cfg.a.ravel()
+        self._keys = np.empty(0, dtype=np.int64)
+        self._log: list[np.ndarray] = []
+        self._reads: list[int] = []
         self._all = False
 
+    def _key(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return (rows % self.m) * self.n + cols % self.n
+
     def read(self, cell: Cell) -> int:
-        i, j = cell[0] % self.m, cell[1] % self.n
-        self._seen.add(i * self.n + j)
-        return self.cfg.a.item(i, j)
+        key = cell[0] % self.m * self.n + cell[1] % self.n
+        self._reads.append(key)
+        return self._flat.item(key)
 
     def gather(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The states at broadcast index arrays, taken mod (m, n); uncharged."""
-        return self.cfg.a[rows % self.m, cols % self.n]
+        return self._flat.take(self._key(rows, cols))
 
     def charge(self, rows: np.ndarray, cols: np.ndarray) -> None:
         """Count the cells at index arrays of one shape, taken mod (m, n), as
-        read; their keys i * n + j join the read set in one update."""
-        self._seen.update(((rows % self.m) * self.n + cols % self.n).ravel().tolist())
+        read: their keys join the log as one array."""
+        self._log.append(self._key(rows, cols).ravel())
 
     def read_all(self) -> TorusConfig:
         """Read every cell at once (used by the small-torus fallback);
@@ -81,9 +91,27 @@ class QueryOracle:
         self._all = True
         return self.cfg
 
+    def _distinct(self) -> np.ndarray:
+        """The sorted distinct keys read so far.  The keys logged since the
+        last call are sorted on their own; a stable sort (timsort) of the two
+        sorted runs then merges them in linear time."""
+        if self._log or self._reads:
+            new = np.sort(np.concatenate([*self._log, np.array(self._reads, dtype=np.int64)]))
+            keys = np.concatenate([self._keys, new])
+            keys.sort(kind="stable")
+            keep = np.ones(len(keys), dtype=bool)
+            keep[1:] = keys[1:] != keys[:-1]
+            self._keys, self._log, self._reads = keys[keep], [], []
+        return self._keys
+
+    @property
+    def _seen(self) -> set[int]:
+        """The distinct read keys i * n + j, as a set."""
+        return set(self._distinct().tolist())
+
     @property
     def queries(self) -> int:
-        return self.m * self.n if self._all else len(self._seen)
+        return self.m * self.n if self._all else len(self._distinct())
 
 
 @dataclass(frozen=True)
@@ -707,9 +735,11 @@ _DIAMOND = np.array(
 )
 
 
-def _first_unstable(oracle: QueryOracle, rows: np.ndarray, cols: np.ndarray) -> int:
-    """The first index u whose cell (rows[u], cols[u]) is unstable, or
-    len(rows) when every cell is stable.
+def _first_unstable(
+    oracle: QueryOracle, rows: np.ndarray, cols: np.ndarray, b: int = THR2.b
+) -> int:
+    """The first index u whose cell (rows[u], cols[u]) is unstable under the
+    Threshold-b rule, or len(rows) when every cell is stable.
 
     Each cell's 5x5 patch is gathered uncharged and the stack stepped twice by
     `threshold_step`; the centre depends only on its Gamma<=2 diamond, which
@@ -719,7 +749,7 @@ def _first_unstable(oracle: QueryOracle, rows: np.ndarray, cols: np.ndarray) -> 
     four neighbors are distinct cells of the torus as they are of the patch.
     """
     patch = oracle.gather(rows[:, None, None] + _PATCH[:, None], cols[:, None, None] + _PATCH)
-    two = threshold_step(threshold_step(patch, THR2.b), THR2.b)
+    two = threshold_step(threshold_step(patch, b), b)
     changed = np.flatnonzero(two[:, 2, 2] != patch[:, 2, 2])
     u = int(changed[0]) if changed.size else len(rows)
     oracle.charge(rows[: u + 1, None] + _DIAMOND[:, 0], cols[: u + 1, None] + _DIAMOND[:, 1])
@@ -729,13 +759,27 @@ def _first_unstable(oracle: QueryOracle, rows: np.ndarray, cols: np.ndarray) -> 
 def run_naive_tester(
     oracle: QueryOracle, rule: Rule, sample_size: int, rng: np.random.Generator
 ) -> tuple[bool, Optional[ViolationReport]]:
-    """The baseline tester: sample cells and check each for stability."""
+    """The baseline tester: sample cells and check each for stability under
+    `rule`, rejecting at the first unstable one.
+
+    With both sides >= 3 the sample is screened in one batch by
+    `_first_unstable` with the rule's b, which charges the cells a per-cell
+    loop would read; on a torus with a side below 3, where the 5x5 patch is
+    not the torus, each cell is stepped by `double_step_cell`.
+    """
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")
     m, n = oracle.m, oracle.n
-    for i, j in zip(rng.integers(0, m, sample_size), rng.integers(0, n, sample_size)):
-        cell = (int(i), int(j))
-        value = double_step_cell(oracle.read, m, n, rule, cell)
-        if value != oracle.read(cell):
-            return False, ViolationReport("unstable-cell", [cell], step="naive")
+    rows = rng.integers(0, m, sample_size)
+    cols = rng.integers(0, n, sample_size)
+    if min(m, n) >= 3:
+        u = _first_unstable(oracle, rows, cols, b=rule.b)
+    else:
+        u = sample_size
+        for s, cell in enumerate(zip(rows.tolist(), cols.tolist())):
+            if double_step_cell(oracle.read, m, n, rule, cell) != oracle.read(cell):
+                u = s
+                break
+    if u < sample_size:
+        return False, ViolationReport("unstable-cell", [(int(rows[u]), int(cols[u]))], step="naive")
     return True, None

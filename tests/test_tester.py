@@ -16,7 +16,7 @@ import pytest
 
 from torustab import THR2, TorusConfig, is_stable
 from torustab.generators import GenSpec, gen_hard_thr2, gen_stable_thr2, perturb
-from torustab.grid import double_step_cell, is_cell_stable, moore
+from torustab.grid import THR1, THR3, THR4, THR5, double_step_cell, is_cell_stable, moore
 from torustab.stabilizer import rectangulate_exempt
 from torustab.structure import MONO, Rect, mono_components
 from torustab.tester import (
@@ -24,6 +24,7 @@ from torustab.tester import (
     QueryOracle,
     RectView,
     TesterParams as TParams,
+    ViolationReport,
     Wrap,
     _LINE,
     _PAIRS,
@@ -160,6 +161,36 @@ class TestQueryOracle:
         oracle.charge(rows, cols)
         want = {(int(i) % 6, int(j) % 9) for i, j in zip(rows.flat, cols.flat)}
         assert {divmod(key, 9) for key in oracle._seen} == want
+
+    def test_key_log_matches_reference_set(self):
+        # Random interleavings of reads, charges (repeats, empty arrays) and
+        # mid-run counts against a set of cells taken mod (m, n), with
+        # coordinates off the torus on both sides; after read_all the count
+        # is mn whatever is read later.
+        rng = np.random.default_rng(48)
+        for _ in range(500):
+            m, n = (int(x) for x in rng.integers(1, 12, 2))
+            cfg = TorusConfig((rng.random((m, n)) < 0.5).astype(np.uint8))
+            oracle = QueryOracle(cfg)
+            want, full = set(), False
+            for op in rng.integers(0, 20, int(rng.integers(1, 40))):
+                if op < 8:
+                    cell = (int(rng.integers(-3 * m, 3 * m)), int(rng.integers(-3 * n, 3 * n)))
+                    assert oracle.read(cell) == cfg[cell]
+                    want.add((cell[0] % m, cell[1] % n))
+                elif op < 14:
+                    shape = rng.integers(0, 5, int(rng.integers(1, 3)))
+                    rows = rng.integers(-3 * m, 3 * m, shape)
+                    cols = rng.integers(-3 * n, 3 * n, shape)
+                    oracle.charge(rows, cols)
+                    want.update(zip((rows % m).flat, (cols % n).flat))
+                elif op < 19:
+                    assert oracle.queries == (m * n if full else len(want))
+                else:
+                    assert oracle.read_all() is cfg
+                    full = True
+            assert oracle.queries == (m * n if full else len(want))
+            assert {divmod(key, n) for key in oracle._seen} == want
 
 
 class TestFirstUnstable:
@@ -875,7 +906,40 @@ class TestStep2Rejections:
         assert not is_cell_stable(cfg, THR2, v.cells[0])
 
 
+def naive_loop(oracle, rule, sample_size, rng):
+    """Reference: the naive tester as a per-cell loop, one `double_step_cell`
+    per sampled cell in sampling order, stopping at the first unstable one."""
+    m, n = oracle.m, oracle.n
+    for i, j in zip(rng.integers(0, m, sample_size), rng.integers(0, n, sample_size)):
+        cell = (int(i), int(j))
+        if double_step_cell(oracle.read, m, n, rule, cell) != oracle.read(cell):
+            return False, ViolationReport("unstable-cell", [cell], step="naive")
+    return True, None
+
+
 class TestNaiveTester:
+    def test_matches_per_cell_loop_and_its_reads(self):
+        # Every rule on sides 1-40 (a quarter of the runs on sides 1-4): the
+        # same decision, witness and distinct reads as the per-cell loop.
+        rng = np.random.default_rng(49)
+        stops = degenerate = 0
+        for trial in range(2000):
+            rule = (THR1, THR2, THR3, THR4, THR5)[trial % 5]
+            m, n = (int(x) for x in rng.integers(1, 5 if trial % 4 == 0 else 41, 2))
+            density = float(rng.choice([0.0, 0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]))
+            cfg = TorusConfig((rng.random((m, n)) < density).astype(np.uint8))
+            size, seed = (int(x) for x in rng.integers(1, 41, 2))
+            ref, batch = QueryOracle(cfg), QueryOracle(cfg)
+            want = naive_loop(ref, rule, size, np.random.default_rng(seed))
+            got = run_naive_tester(batch, rule, size, np.random.default_rng(seed))
+            assert got == want, (rule, m, n, density, size, seed)
+            assert batch.queries == ref.queries
+            assert batch._seen == ref._seen
+            stops += not want[0]
+            degenerate += min(m, n) < 3
+        assert 600 < stops < 1600
+        assert degenerate > 300
+
     def test_all_zero_accepts(self):
         ok, _ = run_naive_tester(
             QueryOracle(TorusConfig.zeros(16, 16)), THR2, 10, np.random.default_rng(0)
