@@ -78,30 +78,22 @@ class StabilizerParams:
 # Step 1: wraparound rows and columns.
 
 
-def _qualifying(count: int, length: int, alpha: float) -> bool:
-    return count >= (1 - alpha) * length - 1e-9
-
-
 def _alpha_lines(planes, alpha: float):
     """(rows, cols) that are alpha-wraparound consistent, with parity class,
     from the row and column parity planes of `wraparound_planes`.
 
     Each entry is (index, parity) where parity 0 means state-1 cells sit at
-    even positions along the line.
+    even positions along the line.  A line qualifies when at least
+    (1 - alpha) of its cells share a parity class; parity 0 wins a tie.
     """
     row, col = planes
 
     def lines(plane: np.ndarray) -> list[tuple[int, int]]:
-        length = plane.shape[1]
-        even = (plane == 0).sum(axis=1).tolist()
-        odd = (plane == 1).sum(axis=1).tolist()
-        out = []
-        for idx, (ne, no) in enumerate(zip(even, odd)):
-            if _qualifying(ne, length, alpha):
-                out.append((idx, 0))
-            elif _qualifying(no, length, alpha):
-                out.append((idx, 1))
-        return out
+        bar = (1 - alpha) * plane.shape[1] - 1e-9
+        even = (plane == 0).sum(axis=1) >= bar
+        odd = (plane == 1).sum(axis=1) >= bar
+        idx = np.flatnonzero(even | odd)
+        return list(zip(idx.tolist(), np.where(even[idx], 0, 1).tolist()))
 
     return lines(row), lines(col.T)
 
@@ -228,9 +220,10 @@ def _collect_good_boxes(view, k: int, alpha: float) -> list[tuple[BoundingBox, i
     found: dict[tuple, tuple[BoundingBox, Optional[int]]] = {}
     for i in range(view.m):
         for j in range(view.n):
-            if classify_plus_kind(view, (i, j)) is None:
+            kind = classify_plus_kind(view, (i, j))
+            if kind is None:
                 continue
-            box = cross_region(view, (i, j), k)
+            box = cross_region(view, (i, j), k, kind)
             key = _canon_key(box.rect, box.kind)
             if key in found:
                 continue
@@ -261,41 +254,29 @@ def _compatible_boxes(
     adjacent 2x2 chessboard blocks whose toggles merge into an unstable
     blob -- so boxes are kept largest-first, dropping any whose planned
     pattern is unstable alone or together with an already-kept neighbor.
+    Each kept box carries its planned pattern: the repaired box alone on an
+    otherwise empty torus.
     """
-    shape = (view.m, view.n)
     order = sorted(
         pairs,
         key=lambda bv: (-bv[0].rect.size(), bv[0].rect.row0, bv[0].rect.col0, bv[0].kind),
     )
-    planned: dict[int, np.ndarray] = {}
-
-    def pattern(box: BoundingBox) -> np.ndarray:
-        """The repaired box alone on an otherwise empty torus."""
-        key = id(box)
-        if key not in planned:
-            planned[key] = np.zeros(shape, dtype=np.uint8)
-            _fix_box_inplace(planned[key], box, view.read(box.anchor))
-        return planned[key]
-
-    kept: list[tuple[BoundingBox, int]] = []
+    kept: list[tuple[BoundingBox, int, np.ndarray]] = []
     for box, v in order:
-        arr = pattern(box)
-        if not is_stable(TorusConfig(arr), THR2):
+        planned = np.zeros((view.m, view.n), dtype=np.uint8)
+        _fix_box_inplace(planned, box, view.read(box.anchor))
+        if not is_stable(TorusConfig(planned), THR2):
             continue
-        ok = True
-        for other, _ in kept:
-            if rect_distance(box.rect, other.rect) > 4:
-                continue
-            union = pattern(other).copy()
-            cells = box.rect.cells()
-            for cell in cells:
-                union[cell] = arr[cell]
-            if not is_stable(TorusConfig(union), THR2):
-                ok = False
-                break
-        if ok:
-            kept.append((box, v))
-    return kept
+        inside = np.ix_(box.rect.rows(), box.rect.cols())
+        for other, _, other_planned in kept:
+            if rect_distance(box.rect, other.rect) <= 4:
+                union = other_planned.copy()
+                union[inside] = planned[inside]
+                if not is_stable(TorusConfig(union), THR2):
+                    break
+        else:
+            kept.append((box, v, planned))
+    return [(box, v) for box, v, _ in kept]
 
 
 def _fix_box_inplace(a: np.ndarray, box: BoundingBox, anchor_val: int) -> int:

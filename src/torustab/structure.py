@@ -130,13 +130,11 @@ def _cyclic_interval(values: set[int], size: int) -> Optional[tuple[int, int]]:
         return None
     if len(values) == size:
         return (0, size)
-    present = [v in values for v in range(size)]
-    # Count maximal runs of present values, treating the array cyclically.
-    transitions = sum(1 for v in range(size) if present[v] and not present[(v - 1) % size])
-    if transitions != 1:
+    # An interval has exactly one value whose predecessor is absent: its start.
+    starts = [v for v in values if (v - 1) % size not in values]
+    if len(starts) != 1:
         return None
-    start = next(v for v in range(size) if present[v] and not present[(v - 1) % size])
-    return (start, len(values))
+    return (starts[0], len(values))
 
 
 def as_rect(m: int, n: int, cells: set[Cell]) -> Optional[Rect]:

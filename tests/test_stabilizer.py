@@ -9,6 +9,8 @@ against their analytic budgets on realistic input families.
 import numpy as np
 import pytest
 
+import torustab.stabilizer
+import torustab.tester
 from torustab import THR2, TorusConfig, is_stable
 from torustab.generators import GenSpec, gen_hard_thr2, gen_stable_thr2, perturb
 from torustab.grid import is_cell_stable, von_neumann
@@ -31,10 +33,11 @@ from grid_reference import all_small_tori, stabilizer_fuzz_inputs
 
 def alpha_good(view, cell, k, alpha):
     """The cell's bounding box if it exists and is alpha-good, else None."""
-    box = cross_region(view, cell, k)
-    if box is None or _box_violations(view, box, alpha) is None:
+    kind = classify_plus_kind(view, cell)
+    if kind is None:
         return None
-    return box
+    box = cross_region(view, cell, k, kind)
+    return None if _box_violations(view, box, alpha) is None else box
 
 
 def all_4x4():
@@ -271,6 +274,23 @@ class TestMaximalGoodBoxes:
             for i, b1 in enumerate(boxes):
                 for b2 in boxes[i + 1 :]:
                     assert not (set(b1.rect.cells()) & set(b2.rect.cells()))
+
+    def test_each_cell_classified_once(self, monkeypatch):
+        # Step 3 classifies every cell of sigma# once and hands the kind to
+        # `cross_region`, which does not classify again.
+        classify = torustab.tester.classify_plus_kind
+        calls = []
+
+        def counted(view, cell):
+            calls.append(cell)
+            return classify(view, cell)
+
+        for module in (torustab.tester, torustab.stabilizer):
+            monkeypatch.setattr(module, "classify_plus_kind", counted)
+        rng = np.random.default_rng(7)
+        cfg = TorusConfig((rng.random((24, 24)) < 0.5).astype(np.uint8))
+        stabilize(cfg, 0.5)
+        assert len(calls) == len(set(calls)) == 24 * 24
 
 
 class TestFixBox:

@@ -12,6 +12,7 @@ from torustab import MAJORITY, THR2, TorusConfig, is_stable, von_neumann
 from torustab.generators import GenSpec, gen_hard_thr2, gen_stable_thr2, perturb
 from torustab.structure import (
     Rect,
+    _cyclic_interval,
     as_rect,
     chess_components,
     component_distance,
@@ -116,6 +117,32 @@ class TestRect:
         assert not Rect(5, 8, 0, 5, 0, 3).almost_wraparound
         assert not Rect(2, 8, 0, 1, 0, 3).almost_wraparound  # a 2-cycle never
         assert not Rect(5, 2, 0, 3, 0, 1).almost_wraparound
+
+
+def scan_cyclic_interval(values: set[int], size: int):
+    """Reference for `_cyclic_interval`: scan all `size` residues and count
+    the runs of present values, treating the residues cyclically."""
+    if not values:
+        return None
+    if len(values) == size:
+        return (0, size)
+    present = [v in values for v in range(size)]
+    transitions = sum(1 for v in range(size) if present[v] and not present[(v - 1) % size])
+    if transitions != 1:
+        return None
+    start = next(v for v in range(size) if present[v] and not present[(v - 1) % size])
+    return (start, len(values))
+
+
+class TestCyclicInterval:
+    def test_matches_scan_on_every_subset(self):
+        for size in range(1, 13):
+            for mask in range(1 << size):
+                values = {v for v in range(size) if mask >> v & 1}
+                assert _cyclic_interval(values, size) == scan_cyclic_interval(values, size), (
+                    size,
+                    values,
+                )
 
 
 class TestComponents:

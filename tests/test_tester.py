@@ -35,6 +35,7 @@ from torustab.tester import (
     _window_parities,
     border_violation,
     box_pattern,
+    classify_plus_kind,
     classify_wraparound,
     cross_region,
     interior_violation,
@@ -48,6 +49,14 @@ from torustab.tester import (
 )
 
 from grid_reference import neighborhood, torus_distance
+
+
+def region(view, cell, k):
+    """`cross_region` of a plus-kind cell, with the kind classified first as
+    the tester and the stabilizer do."""
+    kind = classify_plus_kind(view, cell)
+    assert kind is not None, cell
+    return cross_region(view, cell, k, kind)
 
 
 def read_rect_view(cfg, k):
@@ -590,7 +599,7 @@ class TestCrossRegion:
         a = np.zeros((20, 20), np.uint8)
         a[5:8, 5:9] = 1
         view = self.make_view(a)
-        box = cross_region(view, (6, 6), 6)
+        box = region(view, (6, 6), 6)
         assert box.kind == "mono"
         assert (box.rect.row0, box.rect.height, box.rect.col0, box.rect.width) == (5, 3, 5, 4)
 
@@ -598,7 +607,7 @@ class TestCrossRegion:
         a = np.zeros((20, 20), np.uint8)
         a[5, 5:7] = 1
         view = self.make_view(a)
-        box = cross_region(view, (5, 5), 6)
+        box = region(view, (5, 5), 6)
         assert (box.rect.height, box.rect.width) == (1, 2)
 
     def test_chess_patch_recovered(self):
@@ -608,8 +617,7 @@ class TestCrossRegion:
                 a[i, j] = (i + j) % 2
         view = self.make_view(a)
         for anchor in [(5, 6), (6, 5), (7, 8), (6, 6)]:
-            box = cross_region(view, anchor, 6)
-            assert box is not None, anchor
+            box = region(view, anchor, 6)
             assert (box.rect.row0, box.rect.height, box.rect.col0, box.rect.width) == (
                 5,
                 4,
@@ -618,9 +626,10 @@ class TestCrossRegion:
             ), anchor
 
     def test_non_cell_returns_none(self):
+        # A cell of neither plus-kind has no cross region; callers skip it.
         a = np.zeros((20, 20), np.uint8)
         view = self.make_view(a)
-        assert cross_region(view, (10, 10), 6) is None
+        assert classify_plus_kind(view, (10, 10)) is None
 
 
 class TestViolationPredicates:
@@ -629,7 +638,7 @@ class TestViolationPredicates:
         a[5:8, 5:9] = 1
         a[6, 7] = 0
         view = TorusConfig(a)
-        box = cross_region(view, (5, 5), 6)
+        box = region(view, (5, 5), 6)
         assert interior_violation(view, box, (6, 7))
         assert not interior_violation(view, box, (5, 5))
 
@@ -638,7 +647,7 @@ class TestViolationPredicates:
         a[5:8, 5:9] = 1
         a[9, 6] = 1  # distance 2 below the block
         view = TorusConfig(a)
-        box = cross_region(view, (6, 6), 6)
+        box = region(view, (6, 6), 6)
         assert perimeter_violation(view, box, (9, 6))
         assert not perimeter_violation(view, box, (9, 8))
 
@@ -650,7 +659,7 @@ class TestViolationPredicates:
             for j in range(5, 9):
                 a[i, j] = (i + j) % 2
         view = TorusConfig(a)
-        box = cross_region(view, (5, 6), 6)
+        box = region(view, (5, 6), 6)
         for cell in rect_ring(box.rect, 2):
             assert not perimeter_violation(view, box, cell)
         out_of_domain = (0, 0)
@@ -665,7 +674,7 @@ class TestViolationPredicates:
         a[12:15, 3:7] = 1
         view = TorusConfig(a)
         for anchor in ((5, 6), (6, 6), (13, 4)):
-            box = cross_region(view, anchor, 6)
+            box = region(view, anchor, 6)
             for cell in box.rect.cells():
                 assert box_pattern(box, view[anchor], cell) == a[cell], (anchor, cell)
 
@@ -675,7 +684,7 @@ class TestViolationPredicates:
         a = np.zeros((20, 20), np.uint8)
         a[5:9, 5:9] = 1
         view = TorusConfig(a.copy())
-        box = cross_region(view, (6, 6), 6)
+        box = region(view, (6, 6), 6)
         assert border_violation(view, box) is None
         a[8, 7] = 0
         view = TorusConfig(a.copy())
@@ -788,8 +797,7 @@ class TestRunTester:
             else:
                 view = RectView(QueryOracle(cfg), params.k)
                 anchor, bad = rep.cells
-                box = cross_region(view, anchor, params.k)
-                assert box is not None
+                box = region(view, anchor, params.k)
                 if rep.kind == "interior":
                     assert interior_violation(view, box, bad)
                 else:
