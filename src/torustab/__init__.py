@@ -10,7 +10,6 @@ from .grid import (
     MAJORITY,
     TorusConfig,
     apply_rule,
-    classify_cell,
     complement,
     find_period,
     is_cell_stable,
@@ -47,7 +46,6 @@ __all__ = [
     "MAJORITY",
     "TorusConfig",
     "apply_rule",
-    "classify_cell",
     "complement",
     "find_period",
     "is_cell_stable",

@@ -25,10 +25,6 @@ import numpy as np
 
 Cell = tuple[int, int]
 
-FIXED = "fixed"
-TOGGLING = "toggling"
-UNSTABLE = "unstable"
-
 
 @dataclass(frozen=True)
 class Rule:
@@ -183,10 +179,12 @@ def moore(m: int, n: int, cell: Cell) -> set[Cell]:
     return {(i, j)} | {((i + di) % m, (j + dj) % n) for di, dj in moore_offsets(m, n)}
 
 
-def cyclic_distance(a: int, b: int, size: int) -> int:
-    """Steps between two coordinates on a cycle of the given length."""
+def cyclic_distance(a, b, size: int):
+    """Steps between two coordinates on a cycle of the given length, for ints
+    or broadcast integer arrays alike: d = (a - b) mod size, or size - d when
+    d is more than half the cycle."""
     d = (a - b) % size
-    return min(d, size - d)
+    return d - (2 * d > size) * (2 * d - size)
 
 
 def shifted(a: np.ndarray, di: int, dj: int) -> np.ndarray:
@@ -245,18 +243,6 @@ def is_cell_stable(cfg: TorusConfig, rule: Rule, cell: Cell) -> bool:
 def is_stable(cfg: TorusConfig, rule: Rule) -> bool:
     """Exact global oracle: Thr_b^2(sigma) == sigma."""
     return apply_rule(apply_rule(cfg, rule), rule) == cfg
-
-
-def classify_cell(cfg: TorusConfig, rule: Rule, cell: Cell) -> str:
-    """FIXED, TOGGLING, or UNSTABLE per the two-step state sequence."""
-    one = apply_rule(cfg, rule)
-    two = apply_rule(one, rule)
-    s0, s1, s2 = cfg[cell], one[cell], two[cell]
-    if s0 == s1 == s2:
-        return FIXED
-    if s1 != s0 and s2 == s0:
-        return TOGGLING
-    return UNSTABLE
 
 
 def classify_cells(cfg: TorusConfig, rule: Rule) -> np.ndarray:

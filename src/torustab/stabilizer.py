@@ -40,7 +40,6 @@ from .tester import (
     classify_wraparound,
     cross_region,
     edge_distance,
-    interior_violation,
     wraparound_planes,
 )
 
@@ -190,7 +189,8 @@ def _box_violations(view, box: BoundingBox, alpha: float) -> Optional[int]:
         return None
     if border_violation(view, box) is not None:
         return None
-    v = sum(1 for p in box.rect.cells() if interior_violation(view, box, p))
+    ix = np.ix_(box.rect.rows(), box.rect.cols())
+    v = int((view.a[ix] != box_pattern(box, view.read(box.anchor), ix)).sum())
     if v > alpha * box.rect.size():
         return None
     return v
@@ -281,12 +281,10 @@ def _compatible_boxes(
 
 def _fix_box_inplace(a: np.ndarray, box: BoundingBox, anchor_val: int) -> int:
     """Eliminate the box's interior violations; returns the modified count."""
-    count = 0
-    for cell in box.rect.cells():
-        want = box_pattern(box, anchor_val, cell)
-        if a[cell] != want:
-            a[cell] = want
-            count += 1
+    ix = np.ix_(box.rect.rows(), box.rect.cols())
+    want = box_pattern(box, anchor_val, ix)
+    count = int((a[ix] != want).sum())
+    a[ix] = want
     return count
 
 
@@ -300,19 +298,24 @@ def _fix_box_near_w_inplace(
     """The repair procedure for boxes within distance 2 of wraparound rows;
     returns the modified count.
 
-    Mono boxes drop their cells at distance 2 from W and fill the rest, with
-    extra trimming for width-one boxes.  Chessboard boxes re-pattern cells at
-    distance 2 only where the pattern disagrees with the wraparound cell two
-    rows away, then re-pattern the remainder unless a row ends up squeezed
-    between dead rows (which would leave an illegal one-row strip).  A row is
-    dead when it lies outside the box's rows, or when it is at distance 2
-    from W and the box's columns of it are all 0 after that first pass.
-    `wdist` gives each row's cyclic distance to W.
+    Mono boxes zero their rows at distance 2 from W and fill the rows beyond,
+    with extra trimming for width-one boxes.  Chessboard boxes re-pattern
+    cells at distance 2 only where the pattern disagrees with the wraparound
+    cell two rows away, then re-pattern the remainder unless a row ends up
+    squeezed between dead rows (which would leave an illegal one-row strip).
+    A row is dead when it lies outside the box's rows, or when it is at
+    distance 2 from W and the box's columns of it are all 0 after that first
+    pass.  `wdist` gives each row's cyclic distance to W.
+
+    Every decision depends only on the row (its `wdist`, the width-one
+    trim's count of neighbors at distance 2, and `dead`), so the box is
+    repaired one row slice at a time.
     """
     m, n = a.shape
     rect = box.rect
-    rows, cols = rect.rows(), rect.cols()
-    before = a[np.ix_(rows, cols)].copy()
+    rows, cols = rect.rows(), np.array(rect.cols())
+    ix = np.ix_(rows, cols)
+    before = a[ix].copy()
     ring_rows = (
         set()
         if rect.height == m
@@ -323,29 +326,24 @@ def _fix_box_near_w_inplace(
         return any((i + d) % m in ring_rows for d in (-1, 1))
 
     if box.kind == MONO:
-        for cell in rect.cells():
-            i = cell[0]
-            if wdist[i] == 2:
-                a[cell] = 0
+        for i in rows:
+            g2 = 0
             if rect.width == 1:
-                g2 = sum(1 for p in von_neumann(m, n, cell) if wdist[p[0]] == 2)
-                if g2 >= 2 or (g2 == 1 and near_ring(i)):
-                    a[cell] = 0
-                    continue
-            if wdist[i] >= 3:
-                a[cell] = 1
+                g2 = sum(1 for p in von_neumann(m, n, (i, cols[0])) if wdist[p[0]] == 2)
+            if g2 >= 2 or (g2 == 1 and near_ring(i)) or wdist[i] == 2:
+                a[i, cols] = 0
+            elif wdist[i] >= 3:
+                a[i, cols] = 1
     else:
-        for cell in rect.cells():
-            i, j = cell
+        for i in rows:
             if wdist[i] != 2:
                 continue
             near_w = [r for r in w_rows if cyclic_distance(i, r, m) == 2]
             if len(near_w) >= 2 or (len(near_w) == 1 and near_ring(i)):
-                a[cell] = 0
+                a[i, cols] = 0
             else:
-                v = box_pattern(box, anchor_val, cell)
-                if v != a[near_w[0], j]:
-                    a[cell] = v
+                v = box_pattern(box, anchor_val, (i, cols))
+                a[i, cols] = np.where(v != a[near_w[0], cols], v, a[i, cols])
 
         # `dead` reads `a` only on rows at distance 2, which the pass below
         # leaves alone, so asking during the pass is asking before it.
@@ -360,9 +358,8 @@ def _fix_box_near_w_inplace(
             if dead(i - 1) and dead(i + 1):
                 a[i, cols] = 0
             else:
-                for j in cols:
-                    a[i, j] = box_pattern(box, anchor_val, (i, j))
-    return int((a[np.ix_(rows, cols)] != before).sum())
+                a[i, cols] = box_pattern(box, anchor_val, (i, cols))
+    return int((a[ix] != before).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -482,11 +479,12 @@ def stabilize(
     box_stats, rep_boxes = [], []
     for box, v in pairs:
         anchor_val = view.read(box.anchor)
-        if all(wdist[i] > 2 for i in box.rect.rows()):
+        near = [i for i in box.rect.rows() if wdist[i] <= 2]
+        if not near:
             mod = _fix_box_inplace(work, box, anchor_val)
             d = 0
         else:
-            d = sum(1 for c in box.rect.cells() if wdist[c[0]] <= 2 and step1_changed[c])
+            d = int(step1_changed[np.ix_(near, box.rect.cols())].sum())
             mod = _fix_box_near_w_inplace(work, box, w_rows, wdist, anchor_val)
         step3 += mod
         rep_box = box if use_rows else _transpose_box(box)

@@ -539,22 +539,31 @@ def cross_region(view: RectView, cell: Cell, k: int, kind: str) -> BoundingBox:
 
 
 def rect_ring(rect: Rect, r: int) -> list[Cell]:
-    """Gamma=r of a rectangle (cells at torus distance exactly r from it)."""
+    """Gamma=r of a rectangle (cells at torus distance exactly r from it),
+    sorted.  Built from the rectangle's sides in O(h + w + r): each axis's
+    coordinates within r of its interval are grouped by their gap, and a row
+    at gap gi pairs with the columns at gap r - gi."""
 
-    def axis(start: int, length: int, size: int) -> list[tuple[int, int]]:
-        """Each coordinate within r of the interval, with its gap to it."""
-        span = [x % size for x in range(start - r, start + length + r)]
-        return [(x, _interval_gap(x, 1, start, length, size)) for x in span]
+    def axis(start: int, length: int, size: int) -> dict[int, list[int]]:
+        by_gap: dict[int, list[int]] = {}
+        for x in range(start - r, start + length + r):
+            x %= size
+            by_gap.setdefault(_interval_gap(x, 1, start, length, size), []).append(x)
+        return by_gap
 
     rows = axis(rect.row0, rect.height, rect.m)
     cols = axis(rect.col0, rect.width, rect.n)
-    return sorted({(i, j) for i, gi in rows for j, gj in cols if gi + gj == r})
+    return sorted({(i, j) for gi, ii in rows.items() for i in ii for j in cols.get(r - gi, ())})
 
 
-def box_pattern(box: BoundingBox, anchor_val: int, cell: Cell) -> int:
+def box_pattern(box: BoundingBox, anchor_val: int, cell):
     """The state of a cell of the box in its exact pattern: 1 in a mono box;
     in a chessboard box, the anchor's state flipped when the cell's torus
-    distance to the anchor is odd."""
+    distance to the anchor is odd.
+
+    `cell` is a pair of coordinates: two ints, or broadcast index arrays such
+    as `np.ix_` of the box or one row with its columns, for which a chessboard
+    box gives the array of states and a mono box the scalar 1."""
     if box.kind == MONO:
         return 1
     (i, j), rect = box.anchor, box.rect

@@ -1,5 +1,6 @@
 """Reference helpers for the tests: brute-force torus distances and balls,
-every configuration of every small torus, and seeded stabilizer fuzz inputs.
+the per-cell classification, every configuration of every small torus, and
+seeded stabilizer fuzz inputs.
 
 These have no caller in the package; the tests use them as independent
 oracles for neighborhood-shaped reads and rings, and as exhaustive or
@@ -12,12 +13,29 @@ from typing import Iterable
 
 import numpy as np
 
-from torustab.grid import Cell, cyclic_distance
+from torustab.grid import Cell, Rule, TorusConfig, apply_rule, cyclic_distance
+
+FIXED = "fixed"
+TOGGLING = "toggling"
+UNSTABLE = "unstable"
 
 
 def torus_distance(m: int, n: int, a: Cell, b: Cell) -> int:
     """Toroidal Manhattan distance between two cells."""
     return cyclic_distance(a[0], b[0], m) + cyclic_distance(a[1], b[1], n)
+
+
+def classify_cell(cfg: TorusConfig, rule: Rule, cell: Cell) -> str:
+    """FIXED, TOGGLING, or UNSTABLE per the two-step state sequence: the
+    per-cell reference of `grid.classify_cells`."""
+    one = apply_rule(cfg, rule)
+    two = apply_rule(one, rule)
+    s0, s1, s2 = cfg[cell], one[cell], two[cell]
+    if s0 == s1 == s2:
+        return FIXED
+    if s1 != s0 and s2 == s0:
+        return TOGGLING
+    return UNSTABLE
 
 
 def neighborhood(

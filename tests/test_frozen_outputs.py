@@ -5,8 +5,10 @@ The table in data/frozen_outputs.json was recorded from the per-cell
 implementations (set BFS distances, the dict-based chessboard peel, one
 `classify_wraparound` call per cell in stabilizer Step 1).  The whole-grid
 kernels that replaced them must reproduce every verdict, witness, component
-list (in order), output grid and report.  The exhaustive 4x4 family is
-stored as one sha256 over its rows; every other family row by row.
+list (in order), output grid and report.  The near-W families were recorded
+from the cell-by-cell Step 3 box repair that the row and slice forms
+replaced.  The exhaustive 4x4 family is stored as one sha256 over its rows;
+every other family row by row.
 
 Re-record only after an intended output change:
     PYTHONPATH=src python tests/test_frozen_outputs.py
@@ -81,6 +83,26 @@ def noisy_wraparound(rng, m: int, n: int) -> TorusConfig:
     return TorusConfig(a)
 
 
+def near_w_boxes(rng, m: int, n: int) -> TorusConfig:
+    """One chessboard wraparound row and, on each side of it, a mono box, a
+    width-1 mono strip or a chessboard box in anti-phase to the row, 2 or 3
+    rows away, plus up to 3 flipped cells: inputs on which Step 3 repairs
+    boxes next to W."""
+    a = np.zeros((m, n), np.uint8)
+    r, ph = int(rng.integers(m)), int(rng.integers(2))
+    a[r] = (np.arange(n) + ph) % 2
+    for side in (1, -1):
+        kind = int(rng.choice(3, p=(0.25, 0.5, 0.25)))  # mono, chess, strip
+        gap, h = int(rng.choice((2, 2, 3))), int(rng.integers(2, 6))
+        w = 1 if kind == 2 else int(rng.integers(2, n // 2 + 1))
+        cols = (int(rng.integers(n)) + np.arange(w)) % n
+        for d in range(gap, gap + h):
+            a[(r + side * d) % m, cols] = (cols + ph + d + 1) % 2 if kind == 1 else 1
+    flips = int(rng.integers(0, 4))
+    a[rng.integers(m, size=flips), rng.integers(n, size=flips)] ^= 1
+    return TorusConfig(a)
+
+
 def stable_48(seed: int) -> TorusConfig:
     return gen_stable_thr2(GenSpec(m=48, n=48, rects=5, seed=seed, wraparound_row=seed % 2 == 0))
 
@@ -139,6 +161,11 @@ def stabilize_cases():
     cases = [(cfg, eps, 3) for cfg in noisy for eps in (0.5, 1.0)]
     yield "noisy-wraparound-c2-3", cases
     yield "noisy-wraparound-c2-3-transposed", [(TorusConfig(cfg.a.T), eps, c2) for cfg, eps, c2 in cases]
+    rng = np.random.default_rng(506)
+    near = [near_w_boxes(rng, int(rng.integers(17, 25)), 2 * int(rng.integers(4, 13))) for _ in range(20)]
+    cases = [(cfg, eps, 3) for cfg in near for eps in (0.5, 1.0)]
+    yield "near-w-boxes-c2-3", cases
+    yield "near-w-boxes-c2-3-transposed", [(TorusConfig(cfg.a.T), eps, c2) for cfg, eps, c2 in cases]
 
 
 def all_4x4_digest() -> str:

@@ -25,14 +25,14 @@ from torustab import (
 )
 from torustab.grid import (
     ParityError,
-    classify_cell,
     classify_cells,
+    cyclic_distance,
     moore_offsets,
     shifted,
     threshold_step,
 )
 
-from grid_reference import neighborhood, torus_distance
+from grid_reference import classify_cell, neighborhood, torus_distance
 
 
 def slow_step(a: np.ndarray, b: int) -> np.ndarray:
@@ -129,6 +129,21 @@ class TestNeighborhoods:
             neighborhood(5, 5, (0, 0), -1)
         with pytest.raises(ValueError):
             neighborhood(5, 5, (0, 0), 1, mode="sideways")
+
+
+class TestCyclicDistance:
+    def test_arrays_match_scalars(self):
+        """On cycles of 1 to 9, the array form equals the int form for every
+        pair of coordinates (negative and past-the-end ones included), and
+        both equal the shorter of the two ways round."""
+        for size in range(1, 10):
+            xs = np.arange(-size, 2 * size)
+            got = cyclic_distance(xs[:, None], xs[None, :], size)
+            for s, a in enumerate(xs.tolist()):
+                for t, b in enumerate(xs.tolist()):
+                    scalar = cyclic_distance(a, b, size)
+                    assert type(scalar) is int
+                    assert got[s, t] == scalar == min((a - b) % size, (b - a) % size), (size, a, b)
 
 
 class TestApplyRule:

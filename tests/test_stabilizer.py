@@ -13,7 +13,7 @@ import torustab.stabilizer
 import torustab.tester
 from torustab import THR2, TorusConfig, is_stable
 from torustab.generators import GenSpec, gen_hard_thr2, gen_stable_thr2, perturb
-from torustab.grid import is_cell_stable, von_neumann
+from torustab.grid import cyclic_distance, is_cell_stable, von_neumann
 from torustab.stabilizer import (
     NoMajorityClass,
     StabilizerParams,
@@ -21,12 +21,21 @@ from torustab.stabilizer import (
     _box_violations,
     _collect_good_boxes,
     _fix_box_inplace,
+    _fix_box_near_w_inplace,
     _fix_row_inplace,
     fix_wraparound_row,
     rectangulate_exempt,
     stabilize,
 )
-from torustab.tester import classify_plus_kind, cross_region, interior_violation, wraparound_planes
+from torustab.structure import MONO, Rect
+from torustab.tester import (
+    BoundingBox,
+    box_pattern,
+    classify_plus_kind,
+    cross_region,
+    interior_violation,
+    wraparound_planes,
+)
 
 from grid_reference import all_small_tori, stabilizer_fuzz_inputs
 
@@ -104,6 +113,62 @@ def slow_fix_row(a, r, anchor_col):
             if snap[q, c] == 1 and any(snap[p] == 1 for p in von_neumann(m, n, (q, c))):
                 put(q, c, 0)
     return changed
+
+
+def slow_fix_box_near_w(a, box, w_rows, wdist, anchor_val):
+    """Reference near-W box repair, cell by cell; returns the modified count."""
+    m, n = a.shape
+    rect = box.rect
+    rows, cols = rect.rows(), rect.cols()
+    before = a[np.ix_(rows, cols)].copy()
+    ring_rows = (
+        set()
+        if rect.height == m
+        else {(rect.row0 - 1) % m, (rect.row0 + rect.height) % m}
+    )
+
+    def near_ring(i):
+        return any((i + d) % m in ring_rows for d in (-1, 1))
+
+    if box.kind == MONO:
+        for cell in rect.cells():
+            i = cell[0]
+            if wdist[i] == 2:
+                a[cell] = 0
+            if rect.width == 1:
+                g2 = sum(1 for p in von_neumann(m, n, cell) if wdist[p[0]] == 2)
+                if g2 >= 2 or (g2 == 1 and near_ring(i)):
+                    a[cell] = 0
+                    continue
+            if wdist[i] >= 3:
+                a[cell] = 1
+    else:
+        for cell in rect.cells():
+            i, j = cell
+            if wdist[i] != 2:
+                continue
+            near_w = [r for r in w_rows if cyclic_distance(i, r, m) == 2]
+            if len(near_w) >= 2 or (len(near_w) == 1 and near_ring(i)):
+                a[cell] = 0
+            else:
+                v = box_pattern(box, anchor_val, cell)
+                if v != a[near_w[0], j]:
+                    a[cell] = v
+
+        def dead(q):
+            q %= m
+            outside = (q - rect.row0) % m >= rect.height
+            return outside or (wdist[q] == 2 and not a[q, cols].any())
+
+        for i in rows:
+            if wdist[i] <= 2:
+                continue
+            if dead(i - 1) and dead(i + 1):
+                a[i, cols] = 0
+            else:
+                for j in cols:
+                    a[i, j] = box_pattern(box, anchor_val, (i, j))
+    return int((a[np.ix_(rows, cols)] != before).sum())
 
 
 class TestParams:
@@ -325,6 +390,58 @@ class TestFixBox:
         out = a.copy()
         assert _fix_box_inplace(out, box, a[box.anchor]) == 1
         assert not any(interior_violation(TorusConfig(out), box, c) for c in box.rect.cells())
+
+
+class TestFixBoxNearW:
+    CASES = ("any", "mono-width-1", "between-two-w", "wraps-seam", "full-height")
+
+    @staticmethod
+    def seeded_case(rng, case):
+        """(grid, box, W rows) of one case: chessboard wraparound W rows in a
+        random grid, and a box with rows within distance 2 of W."""
+        m, n = int(rng.integers(3, 13)), int(rng.integers(1, 13))
+        kind = str(rng.choice(["mono", "chess"]))
+        height, width = int(rng.integers(1, m + 1)), int(rng.integers(1, n + 1))
+        row0 = int(rng.integers(m))
+        w_rows = sorted({int(r) for r in rng.integers(m, size=int(rng.integers(1, 4)))})
+        if case == "mono-width-1":
+            kind, width = MONO, 1
+        elif case == "between-two-w":
+            r, gap = w_rows[0], int(rng.integers(4, 8))
+            if gap >= m:
+                m = gap + 1
+            w_rows = [r, (r + gap) % m]
+            row0, height = (r + 2) % m, gap - 3
+        elif case == "wraps-seam":
+            height = max(height, 2)
+            row0 = m - int(rng.integers(1, height))
+        elif case == "full-height":
+            height = m
+        a = (rng.random((m, n)) < 0.5).astype(np.uint8)
+        for r in w_rows:
+            a[r] = (np.arange(n) + rng.integers(2)) % 2
+        col0 = int(rng.integers(n))
+        rect = Rect(m, n, row0 % m, height, col0, width)
+        anchor = ((row0 + int(rng.integers(height))) % m, (col0 + int(rng.integers(width))) % n)
+        return a, BoundingBox(rect, anchor, kind), w_rows
+
+    def test_rows_match_cell_reference(self):
+        """The row-by-row repair writes the same grid and returns the same
+        count as the per-cell reference, on seeded boxes of each case."""
+        rng = np.random.default_rng(41)
+        reached = dict.fromkeys(self.CASES, 0)
+        for trial in range(2500):
+            case = self.CASES[trial % len(self.CASES)]
+            a, box, w_rows = self.seeded_case(rng, case)
+            m = a.shape[0]
+            wdist = [min(cyclic_distance(i, r, m) for r in w_rows) for i in range(m)]
+            anchor_val = int(a[box.anchor])
+            want, got = a.copy(), a.copy()
+            count = slow_fix_box_near_w(want, box, w_rows, wdist, anchor_val)
+            assert _fix_box_near_w_inplace(got, box, w_rows, wdist, anchor_val) == count, (case, trial)
+            assert (got == want).all(), (case, trial)
+            reached[case] += count > 0 and any(wdist[i] == 2 for i in box.rect.rows())
+        assert min(reached.values()) >= 100, reached
 
 
 class TestStabilize:

@@ -16,9 +16,9 @@ import pytest
 
 from torustab import THR2, TorusConfig, is_stable
 from torustab.generators import GenSpec, gen_hard_thr2, gen_stable_thr2, perturb
-from torustab.grid import THR1, THR3, THR4, THR5, double_step_cell, is_cell_stable, moore
+from torustab.grid import THR1, THR3, THR4, THR5, cyclic_distance, double_step_cell, is_cell_stable, moore
 from torustab.stabilizer import rectangulate_exempt
-from torustab.structure import MONO, Rect, mono_components
+from torustab.structure import CHESS, MONO, Rect, mono_components
 from torustab.tester import (
     BoundingBox,
     QueryOracle,
@@ -724,6 +724,66 @@ class TestRectRing:
                     except ValueError:
                         raised = True
                     assert raised == (d not in (1, 2)), (rect, c)
+
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_large_box_ring_size_and_gap(self, r):
+        """A 400x400 box on a 1500x1500 torus: ring r has 2(h + w) + 4(r - 1)
+        cells, each at torus distance exactly r from the box."""
+        rect = Rect(1500, 1500, 1300, 400, 700, 400)
+        ring = np.array(rect_ring(rect, r))
+        assert len(ring) == 2 * (400 + 400) + 4 * (r - 1)
+
+        def gap(x, start, length, size):
+            outside = (x - start) % size >= length
+            ends = np.minimum(cyclic_distance(x, start, size), cyclic_distance(x, start + length - 1, size))
+            return outside * ends
+
+        gaps = gap(ring[:, 0], 1300, 400, 1500) + gap(ring[:, 1], 700, 400, 1500)
+        assert (gaps == r).all()
+
+
+class TestBoxPatternScales:
+    def test_slices_and_rows_match_cells(self):
+        """On every box of every torus from 1x1 to 7x7 (odd cycles and
+        full-cycle boxes included) and every anchor in it, `box_pattern` at
+        the box's `np.ix_` equals its per-cell values, and so does each row
+        with the box's columns; a mono box gives the scalar 1.  A row's
+        pattern depends on the box only through its columns and anchor, so
+        each (columns, anchor, row) is checked once."""
+        for m, n in itertools.product(range(1, 8), repeat=2):
+            # Per anchor, the pattern of every torus cell, cell by cell.
+            whole = Rect(m, n, 0, m, 0, n)
+            per_cell = {
+                anchor: np.array(
+                    [
+                        [box_pattern(BoundingBox(whole, anchor, CHESS), sum(anchor) % 2, (i, j)) for j in range(n)]
+                        for i in range(m)
+                    ]
+                )
+                for anchor in itertools.product(range(m), range(n))
+            }
+            spans = {
+                axis: [
+                    (start, length, np.arange(start, start + length) % size)
+                    for start in range(size)
+                    for length in range(1, size + 1)
+                ]
+                for axis, size in (("rows", m), ("cols", n))
+            }
+            for col0, width, cols in spans["cols"]:
+                for anchor in itertools.product(range(m), cols.tolist()):
+                    box = BoundingBox(Rect(m, n, anchor[0], 1, col0, width), anchor, CHESS)
+                    for i in range(m):
+                        got = box_pattern(box, sum(anchor) % 2, (i, cols))
+                        assert (got == per_cell[anchor][i, cols]).all(), (box, i)
+                for row0, height, rows in spans["rows"]:
+                    rect = Rect(m, n, row0, height, col0, width)
+                    ix = np.ix_(rows, cols)
+                    assert box_pattern(BoundingBox(rect, (row0, col0), MONO), 0, ix) == 1
+                    for anchor in itertools.product(rows.tolist(), cols.tolist()):
+                        got = box_pattern(BoundingBox(rect, anchor, CHESS), sum(anchor) % 2, ix)
+                        assert (got == per_cell[anchor][ix]).all(), (rect, anchor)
 
 
 class TestRectInnerBoundary:
