@@ -4,8 +4,9 @@ The procedure runs in four steps.  Step 1 finds rows (or columns) that are
 nearly chessboard wraparounds and repairs them into exact ones; the repaired
 set W is exempt from everything that follows.  Step 2 applies the
 k-rectangulation outside W.  Step 3 collects the maximal alpha-good bounding
-boxes of sigma# and eliminates their interior violations, with a dedicated
-procedure for boxes close to W.  Step 4 zeroes every cell left uncovered.
+boxes of sigma# and eliminates their interior violations; a box within
+distance 2 of W zeroes its distance-2 rows and the rows they squeeze (see
+`_fix_box_near_w_inplace`).  Step 4 zeroes every cell left uncovered.
 
 The output is guaranteed stable; a failed final check raises instead of
 returning a bad configuration.  All modification counts in the report are
@@ -28,7 +29,6 @@ from .grid import (
     is_stable,
     moore_offsets,
     neighbor_sum,
-    von_neumann,
     von_neumann_offsets,
 )
 from .structure import MONO, Rect, rect_distance
@@ -289,77 +289,44 @@ def _fix_box_inplace(a: np.ndarray, box: BoundingBox, anchor_val: int) -> int:
 
 
 def _fix_box_near_w_inplace(
-    a: np.ndarray,
-    box: BoundingBox,
-    w_rows: list[int],
-    wdist: list[int],
-    anchor_val: int,
+    a: np.ndarray, box: BoundingBox, wdist: list[int], anchor_val: int
 ) -> int:
-    """The repair procedure for boxes within distance 2 of wraparound rows;
-    returns the modified count.
+    """The repair of a box with rows within distance 2 of the wraparound
+    rows W; returns the modified count.  `wdist` gives each row's cyclic
+    distance to W.
 
-    Mono boxes zero their rows at distance 2 from W and fill the rows beyond,
-    with extra trimming for width-one boxes.  Chessboard boxes re-pattern
-    cells at distance 2 only where the pattern disagrees with the wraparound
-    cell two rows away, then re-pattern the remainder unless a row ends up
-    squeezed between dead rows (which would leave an illegal one-row strip).
-    A row is dead when it lies outside the box's rows, or when it is at
-    distance 2 from W and the box's columns of it are all 0 after that first
-    pass.  `wdist` gives each row's cyclic distance to W.
+    Row i of the box is zeroed when wdist[i] == 2, or when each of rows i-1
+    and i+1 is at distance 2 or outside the box, that is past one of its
+    ends (by I2 no box spans the cycle), as a one-row strip between them
+    would be illegal; every other row gets the box pattern.
 
-    Every decision depends only on the row (its `wdist`, the width-one
-    trim's count of neighbors at distance 2, and `dead`), so the box is
-    repaired one row slice at a time.
+    Why nothing else is needed.  After Step 1, for each W row w, rows w+-1
+    are all 0, and rows w+-2 hold no 1 where row w holds a 1 and no mono
+    cell (a 1 with a 1 neighbor): `_fix_row_inplace` zeroes those cells.  A
+    later repair writes 1s only into its own row, a row joins W only if it
+    is exact and both its neighbors are 0, and Step 2 only zeroes cells
+    outside W.  So in sigma# no plus-kind anchor lies on row w or rows w+-1,
+    and a box's rows are the rows its vertical arm covers:
+      I1. No mono box has a row within distance 2 of W: that row's arm
+          cell, or the anchor itself, would be a mono cell of row w+-2.
+      I2. No box row is at distance < 2: a chess arm from (w+2, j) = 1
+          expects (w+1, j) = 0 and then (w, j) = 1, but (w, j) = 1 forces
+          (w+2, j) = 0; an arm that stops on (w+1, j) = 0 is trimmed, as
+          that cell has at most one 1 neighbor.
+      I3. Hence every row at distance 2 is the box's first or last row,
+          and the row next to it on the side of W is outside the box.
+    Under I1-I3 the paper's chessboard procedure zeroes every distance-2
+    row, each being next to the box's border ring, so its comparison with
+    the W row two rows away never runs; the rule above is what remains.
     """
-    m, n = a.shape
-    rect = box.rect
-    rows, cols = rect.rows(), np.array(rect.cols())
-    ix = np.ix_(rows, cols)
-    before = a[ix].copy()
-    ring_rows = (
-        set()
-        if rect.height == m
-        else {(rect.row0 - 1) % m, (rect.row0 + rect.height) % m}
-    )
-
-    def near_ring(i: int) -> bool:
-        return any((i + d) % m in ring_rows for d in (-1, 1))
-
-    if box.kind == MONO:
-        for i in rows:
-            g2 = 0
-            if rect.width == 1:
-                g2 = sum(1 for p in von_neumann(m, n, (i, cols[0])) if wdist[p[0]] == 2)
-            if g2 >= 2 or (g2 == 1 and near_ring(i)) or wdist[i] == 2:
-                a[i, cols] = 0
-            elif wdist[i] >= 3:
-                a[i, cols] = 1
-    else:
-        for i in rows:
-            if wdist[i] != 2:
-                continue
-            near_w = [r for r in w_rows if cyclic_distance(i, r, m) == 2]
-            if len(near_w) >= 2 or (len(near_w) == 1 and near_ring(i)):
-                a[i, cols] = 0
-            else:
-                v = box_pattern(box, anchor_val, (i, cols))
-                a[i, cols] = np.where(v != a[near_w[0], cols], v, a[i, cols])
-
-        # `dead` reads `a` only on rows at distance 2, which the pass below
-        # leaves alone, so asking during the pass is asking before it.
-        def dead(q: int) -> bool:
-            q %= m
-            outside = (q - rect.row0) % m >= rect.height
-            return outside or (wdist[q] == 2 and not a[q, cols].any())
-
-        for i in rows:
-            if wdist[i] <= 2:
-                continue
-            if dead(i - 1) and dead(i + 1):
-                a[i, cols] = 0
-            else:
-                a[i, cols] = box_pattern(box, anchor_val, (i, cols))
-    return int((a[ix] != before).sum())
+    rows = box.rect.rows()
+    ix = np.ix_(rows, box.rect.cols())
+    w2 = np.array([wdist[i] == 2 for i in rows])
+    dead = np.r_[True, w2, True]
+    want = np.where((w2 | dead[:-2] & dead[2:])[:, None], 0, box_pattern(box, anchor_val, ix))
+    count = int((a[ix] != want).sum())
+    a[ix] = want
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -480,12 +447,11 @@ def stabilize(
     for box, v in pairs:
         anchor_val = view.read(box.anchor)
         near = [i for i in box.rect.rows() if wdist[i] <= 2]
-        if not near:
-            mod = _fix_box_inplace(work, box, anchor_val)
-            d = 0
+        d = int(step1_changed[np.ix_(near, box.rect.cols())].sum()) if near else 0
+        if near:
+            mod = _fix_box_near_w_inplace(work, box, wdist, anchor_val)
         else:
-            d = int(step1_changed[np.ix_(near, box.rect.cols())].sum())
-            mod = _fix_box_near_w_inplace(work, box, w_rows, wdist, anchor_val)
+            mod = _fix_box_inplace(work, box, anchor_val)
         step3 += mod
         rep_box = box if use_rows else _transpose_box(box)
         rep_boxes.append(rep_box)

@@ -73,9 +73,6 @@ class Rect:
     def cols(self) -> list[int]:
         return [(self.col0 + j) % self.n for j in range(self.width)]
 
-    def cells(self) -> set[Cell]:
-        return {(i, j) for i in self.rows() for j in self.cols()}
-
     def __contains__(self, cell: Cell) -> bool:
         i = (cell[0] - self.row0) % self.m
         j = (cell[1] - self.col0) % self.n

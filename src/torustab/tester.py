@@ -107,11 +107,6 @@ class QueryOracle:
         return self._keys
 
     @property
-    def _seen(self) -> set[int]:
-        """The distinct read keys i * n + j, as a set."""
-        return set(self._distinct().tolist())
-
-    @property
     def queries(self) -> int:
         return self.m * self.n if self._all else len(self._distinct())
 
@@ -201,8 +196,10 @@ class RectView:
     not divide a dimension the last tile absorbs the remainder (sizes in
     [k, 2k)).  Each tile's 1-boundary is zeroed, then every Moore 1-isolated
     cell (in the zeroed configuration) inside a tile's 3-boundary is zeroed.
-    A dimension covered by a single tile has no tile borders and is left
-    untouched.  Each sigma# read costs at most 9 underlying sigma reads.
+    A dimension covered by a single tile has no tile borders; `edge_distance`
+    returns the side there, so on a side of 1 or 2 every cell is inside the
+    3-boundary and its Moore-isolated 1s are zeroed.  Each sigma# read costs
+    at most 9 underlying sigma reads.
 
     sigma# keeps two forms.  This lazy one reads cell by cell, which is what
     holds Step 2 to its query bound; the whole-grid

@@ -1,6 +1,6 @@
 """Reference helpers for the tests: brute-force torus distances and balls,
-the per-cell classification, every configuration of every small torus, and
-seeded stabilizer fuzz inputs.
+the cells of a rectangle, the per-cell classification, every configuration
+of every small torus, and seeded stabilizer inputs.
 
 These have no caller in the package; the tests use them as independent
 oracles for neighborhood-shaped reads and rings, and as exhaustive or
@@ -23,6 +23,11 @@ UNSTABLE = "unstable"
 def torus_distance(m: int, n: int, a: Cell, b: Cell) -> int:
     """Toroidal Manhattan distance between two cells."""
     return cyclic_distance(a[0], b[0], m) + cyclic_distance(a[1], b[1], n)
+
+
+def rect_cells(rect) -> set[Cell]:
+    """The cells of a `structure.Rect`, as a set."""
+    return {(i, j) for i in rect.rows() for j in rect.cols()}
 
 
 def classify_cell(cfg: TorusConfig, rule: Rule, cell: Cell) -> str:
@@ -106,3 +111,23 @@ def stabilizer_fuzz_inputs(seed: int, count: int):
                 lines[r] = (np.arange(lines.shape[1]) + rng.integers(2)) % 2
             a ^= (rng.random((m, n)) < rng.uniform(0.02, 0.15)).astype(np.uint8)
         yield a, eps
+
+
+def near_w_boxes(rng, m: int, n: int) -> TorusConfig:
+    """One chessboard wraparound row and, on each side of it, a mono box, a
+    width-1 mono strip or a chessboard box in anti-phase to the row, 2 or 3
+    rows away, plus up to 3 flipped cells: inputs on which Step 3 repairs
+    boxes next to W."""
+    a = np.zeros((m, n), np.uint8)
+    r, ph = int(rng.integers(m)), int(rng.integers(2))
+    a[r] = (np.arange(n) + ph) % 2
+    for side in (1, -1):
+        kind = int(rng.choice(3, p=(0.25, 0.5, 0.25)))  # mono, chess, strip
+        gap, h = int(rng.choice((2, 2, 3))), int(rng.integers(2, 6))
+        w = 1 if kind == 2 else int(rng.integers(2, n // 2 + 1))
+        cols = (int(rng.integers(n)) + np.arange(w)) % n
+        for d in range(gap, gap + h):
+            a[(r + side * d) % m, cols] = (cols + ph + d + 1) % 2 if kind == 1 else 1
+    flips = int(rng.integers(0, 4))
+    a[rng.integers(m, size=flips), rng.integers(n, size=flips)] ^= 1
+    return TorusConfig(a)

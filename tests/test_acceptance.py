@@ -35,6 +35,8 @@ from torustab.tester import (
     run_tester,
 )
 
+from grid_reference import rect_cells
+
 
 def batch_stable(grids: np.ndarray, rule: Rule) -> np.ndarray:
     """Vectorized two-step stability over a batch of (t, m, n) grids; m, n >= 3."""
@@ -285,7 +287,7 @@ class TestCriterion11:
             if h == m - 1 or w == n - 1:
                 continue
             rect = Rect(m, n, int(rng.integers(m)), h, int(rng.integers(n)), w)
-            cells = set(rect.cells())
+            cells = rect_cells(rect)
             adjacent = {
                 nb
                 for c in cells

@@ -7,8 +7,10 @@ implementations (set BFS distances, the dict-based chessboard peel, one
 kernels that replaced them must reproduce every verdict, witness, component
 list (in order), output grid and report.  The near-W families were recorded
 from the cell-by-cell Step 3 box repair that the row and slice forms
-replaced.  The exhaustive 4x4 family is stored as one sha256 over its rows;
-every other family row by row.
+replaced, the multi-tile ones from the near-W repair with the mono branch
+and the compare against the W row that the row rule replaced.  The
+exhaustive 4x4 family is stored as one sha256 over its rows; every other
+family row by row.
 
 Re-record only after an intended output change:
     PYTHONPATH=src python tests/test_frozen_outputs.py
@@ -25,6 +27,8 @@ from torustab import TorusConfig
 from torustab.generators import GenSpec, gen_hard_thr2, gen_stable_thr2, perturb
 from torustab.stabilizer import StabilizerParams, stabilize
 from torustab.structure import chess_components, thr2_structure_check
+
+from grid_reference import near_w_boxes
 
 TABLE = Path(__file__).parent / "data" / "frozen_outputs.json"
 
@@ -45,9 +49,9 @@ def structure_row(cfg: TorusConfig) -> list:
     return [thr2_structure_check(cfg).to_json_dict(), comps]
 
 
-def stabilize_row(cfg: TorusConfig, eps: float, c2: int = 68) -> list:
+def stabilize_row(cfg: TorusConfig, eps: float, c2: int = 68, c1: int = 48) -> list:
     """[output shape, sha256 of the output bytes, report JSON]."""
-    out, report = stabilize(cfg, eps, StabilizerParams(eps=eps, c2=c2))
+    out, report = stabilize(cfg, eps, StabilizerParams(eps=eps, c1=c1, c2=c2))
     return [list(out.shape), hashlib.sha256(out.a.tobytes()).hexdigest(), report.to_json_dict()]
 
 
@@ -83,26 +87,6 @@ def noisy_wraparound(rng, m: int, n: int) -> TorusConfig:
     return TorusConfig(a)
 
 
-def near_w_boxes(rng, m: int, n: int) -> TorusConfig:
-    """One chessboard wraparound row and, on each side of it, a mono box, a
-    width-1 mono strip or a chessboard box in anti-phase to the row, 2 or 3
-    rows away, plus up to 3 flipped cells: inputs on which Step 3 repairs
-    boxes next to W."""
-    a = np.zeros((m, n), np.uint8)
-    r, ph = int(rng.integers(m)), int(rng.integers(2))
-    a[r] = (np.arange(n) + ph) % 2
-    for side in (1, -1):
-        kind = int(rng.choice(3, p=(0.25, 0.5, 0.25)))  # mono, chess, strip
-        gap, h = int(rng.choice((2, 2, 3))), int(rng.integers(2, 6))
-        w = 1 if kind == 2 else int(rng.integers(2, n // 2 + 1))
-        cols = (int(rng.integers(n)) + np.arange(w)) % n
-        for d in range(gap, gap + h):
-            a[(r + side * d) % m, cols] = (cols + ph + d + 1) % 2 if kind == 1 else 1
-    flips = int(rng.integers(0, 4))
-    a[rng.integers(m, size=flips), rng.integers(n, size=flips)] ^= 1
-    return TorusConfig(a)
-
-
 def stable_48(seed: int) -> TorusConfig:
     return gen_stable_thr2(GenSpec(m=48, n=48, rects=5, seed=seed, wraparound_row=seed % 2 == 0))
 
@@ -135,9 +119,10 @@ def structure_cases():
 
 
 def stabilize_cases():
-    """(family, [(configuration, eps, c2)]) for the stabilizer rows, in table
-    order; c2 = 3 gives alpha = eps / 3, large enough for Step 1 to repair
-    noisy lines on small tori."""
+    """(family, [(configuration, eps, c2[, c1])]) for the stabilizer rows, in
+    table order; c2 = 3 gives alpha = eps / 3, large enough for Step 1 to
+    repair noisy lines on small tori, and c1 = 4 or 6 at eps = 0.5 gives
+    k = 8 or 12, so the multi-tile rows cut their tori into several tiles."""
     rng = np.random.default_rng(503)
     cases = []
     for trial in range(30):
@@ -166,6 +151,11 @@ def stabilize_cases():
     cases = [(cfg, eps, 3) for cfg in near for eps in (0.5, 1.0)]
     yield "near-w-boxes-c2-3", cases
     yield "near-w-boxes-c2-3-transposed", [(TorusConfig(cfg.a.T), eps, c2) for cfg, eps, c2 in cases]
+    rng = np.random.default_rng(507)
+    near = [near_w_boxes(rng, int(rng.integers(24, 41)), 2 * int(rng.integers(12, 21))) for _ in range(20)]
+    cases = [(cfg, 0.5, 3, c1) for cfg in near for c1 in (4, 6)]
+    yield "near-w-boxes-multitile", cases
+    yield "near-w-boxes-multitile-transposed", [(TorusConfig(cfg.a.T), *rest) for cfg, *rest in cases]
 
 
 def all_4x4_digest() -> str:

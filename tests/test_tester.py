@@ -48,7 +48,7 @@ from torustab.tester import (
     wraparound_planes,
 )
 
-from grid_reference import neighborhood, torus_distance
+from grid_reference import neighborhood, rect_cells, torus_distance
 
 
 def region(view, cell, k):
@@ -169,7 +169,7 @@ class TestQueryOracle:
         assert oracle.queries == 0
         oracle.charge(rows, cols)
         want = {(int(i) % 6, int(j) % 9) for i, j in zip(rows.flat, cols.flat)}
-        assert {divmod(key, 9) for key in oracle._seen} == want
+        assert {divmod(key, 9) for key in oracle._distinct().tolist()} == want
 
     def test_key_log_matches_reference_set(self):
         # Random interleavings of reads, charges (repeats, empty arrays) and
@@ -199,7 +199,7 @@ class TestQueryOracle:
                     assert oracle.read_all() is cfg
                     full = True
             assert oracle.queries == (m * n if full else len(want))
-            assert {divmod(key, n) for key in oracle._seen} == want
+            assert {divmod(key, n) for key in oracle._distinct().tolist()} == want
 
 
 class TestFirstUnstable:
@@ -223,7 +223,7 @@ class TestFirstUnstable:
                     break
             screen = QueryOracle(cfg)
             assert _first_unstable(screen, rows, cols) == want, (m, n, density)
-            assert screen._seen == ref._seen
+            assert screen._distinct().tolist() == ref._distinct().tolist()
             stops += want < size
         assert 1000 < stops < 2500
 
@@ -347,7 +347,7 @@ class TestClassifyWraparound:
             cell = (int(rng.integers(m)), int(rng.integers(n)))
             oracle = QueryOracle(TorusConfig(a))
             classify_wraparound(oracle, cell)
-            reads = sorted(divmod(key, n) for key in oracle._seen)
+            reads = sorted(divmod(key, n) for key in oracle._distinct().tolist())
             assert all(torus_distance(m, n, cell, p) <= 3 for p in reads), (a.tolist(), cell)
             read_sets.append(reads)
         digest = hashlib.sha256(json.dumps(read_sets).encode()).hexdigest()
@@ -412,7 +412,7 @@ class TestWindowParities:
             for par, w in zip(got, want):
                 assert par.dtype == np.int8 and par.shape == (size,)
                 assert [None if p < 0 else int(p) for p in par] == w, (a.tolist(), rows, cols)
-            assert batch._seen == ref._seen, (a.tolist(), rows, cols)
+            assert batch._distinct().tolist() == ref._distinct().tolist(), (a.tolist(), rows, cols)
             for s, cell in enumerate(zip(rows.tolist(), cols.tolist())):
                 f = classify_wraparound(cfg, cell)
                 assert (f.row, f.col) == (want[0][s], want[1][s])
@@ -675,7 +675,7 @@ class TestViolationPredicates:
         view = TorusConfig(a)
         for anchor in ((5, 6), (6, 6), (13, 4)):
             box = region(view, anchor, 6)
-            for cell in box.rect.cells():
+            for cell in rect_cells(box.rect):
                 assert box_pattern(box, view[anchor], cell) == a[cell], (anchor, cell)
 
     def test_border_violation_order(self):
@@ -1002,7 +1002,7 @@ class TestNaiveTester:
             got = run_naive_tester(batch, rule, size, np.random.default_rng(seed))
             assert got == want, (rule, m, n, density, size, seed)
             assert batch.queries == ref.queries
-            assert batch._seen == ref._seen
+            assert batch._distinct().tolist() == ref._distinct().tolist()
             stops += not want[0]
             degenerate += min(m, n) < 3
         assert 600 < stops < 1600
