@@ -11,6 +11,21 @@ Threshold-2: a configuration is stable iff
   4. no cell outside all components is adjacent to two state-0 chessboard
      cells (which toggle to 1 in unison and would activate it).
 
+The Threshold-2 check decides all four on label arrays.  `torus_labels`
+labels the components of a graph on the torus cells by min-label hooking
+with pointer jumping over its flat edge list: mono components are the
+state-1 cells under adjacency, chessboard components the pieces of the
+alternation 2-core (peeled in whole-frontier rounds by `_two_core`) under
+alternation edges.  A component is a rectangle iff its size is the product
+of its numbers of distinct rows and columns; a chessboard piece conflicts
+iff two adjacent cells of one state share its label; coverage and phase are
+masks; distances are one broadcast of rectangle gaps over all pairs.
+
+Components are listed, and a failing component or pair is reported, in the
+order the set walk that the labels replaced found them: the iteration
+order of a Python set of cells.  `_mono_walk` and `_chess_walk` rebuild
+those sets exactly, only to list components or once a check fails.
+
 Majority: a configuration is stable iff its cells split into fixed state-0
 cells (P0), fixed state-1 cells (P1), toggling chessboard cells (P2) and
 toggling width-2 zebra wraparound bands (P3), subject to local adjacency
@@ -23,8 +38,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Iterable, Optional
+from functools import lru_cache
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -41,6 +56,14 @@ from .grid import (
 
 MONO = "mono"
 CHESS = "chess"
+
+
+def _almost_wraparound(m: int, n: int, height, width):
+    """Whether a rectangle's row or column interval is the full cycle minus
+    a single element; ints or arrays of heights and widths.  On a 2-cycle
+    that element's two neighbors are one cell, so the uncovered line never
+    activates and the clause does not apply."""
+    return (height == (m - 1 if m >= 3 else -1)) | (width == (n - 1 if n >= 3 else -1))
 
 
 @dataclass(frozen=True)
@@ -60,12 +83,7 @@ class Rect:
 
     @property
     def almost_wraparound(self) -> bool:
-        # One coordinate interval is the full cycle minus a single element.
-        # On a 2-cycle that element's two neighbors are one cell, so the
-        # uncovered line never activates and the clause does not apply.
-        return (self.m >= 3 and self.height == self.m - 1) or (
-            self.n >= 3 and self.width == self.n - 1
-        )
+        return _almost_wraparound(self.m, self.n, self.height, self.width)
 
     def rows(self) -> list[int]:
         return [(self.row0 + i) % self.m for i in range(self.height)]
@@ -94,137 +112,236 @@ class Component:
     conflicted: bool = False
 
 
-def _components(cells: set[Cell], neighbors: Callable[[Cell], list[Cell]]) -> list[set[Cell]]:
-    """Connected components of a cell set under a neighbor relation.
+@lru_cache(maxsize=1)
+def _tables(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbour indices of an m x n torus, read-only and shared: `around`
+    (4, mn) holds the flat index of each cell's right, down, up and left
+    neighbour (the cell itself across a side of 1), and `distinct` (4, 1)
+    whether each row is a distinct neighbour, not the cell itself or a
+    repeat of an earlier row.  Only the last shape's tables are kept, so a
+    large torus pins no more than its own 16 bytes a cell."""
+    idx = np.arange(m * n, dtype=np.int32).reshape(m, n)
+    offsets = [(0, 1), (1, 0), (-1, 0), (0, -1)]
+    around = np.array([shifted(idx, di, dj).ravel() for di, dj in offsets])
+    reduced = [(di % m, dj % n) for di, dj in offsets]
+    distinct = np.array([[r != (0, 0) and r not in reduced[:t]] for t, r in enumerate(reduced)])
+    around.flags.writeable = distinct.flags.writeable = False
+    return around, distinct
 
-    Seeds are popped from a copy of the set and each component is walked
-    breadth-first, so the list order follows the set's iteration order.
+
+def torus_labels(edges: np.ndarray) -> np.ndarray:
+    """Connected components of a graph on the cells of an m x n torus.
+
+    `edges` is a (2, m, n) bool mask: `edges[0]` marks the edges from a
+    cell to its right neighbour, `edges[1]` those to the cell below.
+    Returns the flat (mn,) label of every cell: the smallest flat index of
+    its component, so a cell without edges is labelled by its own index.
+
+    Min-label hooking with pointer jumping over the flat edge list: every
+    cell starts as its own label; each round reads both labels of every
+    edge, lowers the larger one's label to the smaller (`np.minimum.at`)
+    and jumps every label once (`lab[lab]`), until every edge joins equal
+    labels.  A label only decreases and always names a cell of the same
+    component, so after the last full jump each component is labelled by
+    its smallest index.  A jump halves every label chain, so the rounds stay
+    far below a component's diameter: 10 on a path of 1,342 cells.
     """
-    remaining = set(cells)
+    _, m, n = edges.shape
+    e = edges.ravel().nonzero()[0]
+    u, v = e % (m * n), _tables(m, n)[0][:2].ravel()[e]
+    lab = np.arange(m * n)
+    while True:
+        lu, lv = lab[u], lab[v]
+        if not np.count_nonzero(lu != lv):
+            break
+        np.minimum.at(lab, np.maximum(lu, lv), np.minimum(lu, lv))
+        lab = lab[lab]
+    while True:
+        jumped = lab[lab]
+        if not np.count_nonzero(jumped != lab):
+            return lab
+        lab = jumped
+
+
+def _two_core(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """The 2-core of the alternation graph of a grid (edges between adjacent
+    cells of differing state) as a flat (mn,) bool mask, and the number of
+    peel rounds.
+
+    Cells of alternation degree < 2 are peeled in whole-frontier rounds:
+    each round lowers the degree of every live alternation neighbour of the
+    cells peeled last round (`np.subtract.at`) and peels those now below 2.
+    The 2-core does not depend on the peel order, so this is the core that
+    peeling one cell at a time leaves.
+    """
+    m, n = a.shape
+    around, distinct = _tables(m, n)
+    flat = a.ravel()
+    alt = (flat[around] != flat) & distinct
+    degree = alt.sum(axis=0)
+    alive = degree >= 2
+    # A cell without alternation edges changes no degree when peeled.
+    frontier = (degree == 1).nonzero()[0]
+    slot = np.empty(m * n, dtype=np.int32)
+    rounds = 0
+    while len(frontier):
+        rounds += 1
+        hit = np.take(around, frontier, axis=1)[np.take(alt, frontier, axis=1)]
+        hit = hit[alive[hit]]
+        np.subtract.at(degree, hit, 1)
+        frontier = hit[degree[hit] < 2]
+        # A cell hit twice is listed twice: keep the one occurrence whose
+        # position its slot ends up holding.
+        place = np.arange(len(frontier))
+        slot[frontier] = place
+        frontier = frontier[slot[frontier] == place]
+        alive[frontier] = False
+    return alive, rounds
+
+
+def _mono_labels(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Labels of the state-1 cells under adjacency, and those cells (flat)."""
+    m, n = a.shape
+    one = a.ravel().view(bool)
+    return torus_labels((one[_tables(m, n)[0][:2]] & one).reshape(2, m, n)), one.nonzero()[0]
+
+
+def _chess_labels(a: np.ndarray, core: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Labels of the core cells under alternation edges, those cells (flat),
+    and per label whether its piece holds two adjacent cells of one state."""
+    m, n = a.shape
+    around, distinct = _tables(m, n)
+    flat = a.ravel()
+    step = around[:2]
+    lab = torus_labels((core[step] & core & (flat[step] != flat)).reshape(2, m, n))
+    _, same = ((lab[around] == lab) & (flat[around] == flat) & distinct).nonzero()
+    conflicted = np.zeros(m * n, dtype=bool)
+    conflicted[lab[same]] = True
+    return lab, core.nonzero()[0], conflicted
+
+
+def _spans(lab: np.ndarray, cells: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sets the labels of `cells` (flat, row-major) form, per label:
+    `size` (mn,), the cell count, and `span` (2, mn), the numbers of
+    distinct rows and of distinct columns of each set of two or more cells.
+
+    A connected set's rows form a cyclic interval, as do its columns, so a
+    component is a rectangle iff its size is the product of its spans."""
+    labs = lab[cells]
+    size = np.bincount(labs, minlength=m * n)
+    keep = size[labs] >= 2
+    cells, labs = cells[keep], labs[keep]
+    span = np.zeros((2, m * n), dtype=np.int32)
+    rows = cells // n
+    for axis, coord, length in ((0, rows, m), (1, cells - rows * n, n)):
+        keys = labs * length + coord
+        keys.sort()
+        first = np.empty(len(keys), dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        span[axis] = np.bincount(keys[first] // length, minlength=m * n)
+    return size, span
+
+
+def _starts(lab: np.ndarray, cells: np.ndarray, n: int) -> np.ndarray:
+    """(2, mn): per label, the first row and the first column of the cyclic
+    intervals a rectangular labelled set spans, read off its cells whose
+    upper or left neighbour is outside it (0 on a full cycle)."""
+    labs = lab[cells]
+    rows = cells // n
+    outside = lab[_tables(lab.size // n, n)[0][2:, cells]] != labs
+    start = np.zeros((2, lab.size), dtype=np.int32)
+    for axis, coord in enumerate((rows, cells - rows * n)):
+        start[axis, labs[outside[axis]]] = coord[outside[axis]]
+    return start
+
+
+# Components are listed in the order a breadth-first walk of a Python set
+# popped its seeds, which is the set's iteration order, and the witness of
+# the structure check is the first failing component in that list.  The two
+# sets below are built exactly as that walk built them, and only where an
+# order is needed: to list components, or once a component or pair fails.
+
+
+def _mono_walk(a: np.ndarray) -> set[Cell]:
+    """The state-1 cells, in the set whose iteration order lists the mono
+    components: a copy of the set built from them in row-major order."""
+    return set(set(zip(*(x.tolist() for x in np.nonzero(a)))))
+
+
+def _chess_walk(core: np.ndarray, m: int, n: int) -> set[Cell]:
+    """The core cells, in the set whose iteration order lists the chessboard
+    components last to first: a copy of the set of all cells from which the
+    peeled cells were discarded one by one in row-major order.  The
+    comprehension, the copy and the discards fix its table layout (`-=` may
+    not)."""
+    walk = set({(i, j) for i in range(m) for j in range(n)})
+    for c in (~core).nonzero()[0].tolist():
+        walk.discard(divmod(c, n))
+    return set(walk)
+
+
+def _list_order(
+    kind: str, a: np.ndarray, core: Optional[np.ndarray], lab: np.ndarray, wanted: np.ndarray
+) -> list[int]:
+    """The labels marked in `wanted` (indexed by label) in the order
+    `mono_components` or `chess_components` lists their components: by
+    the first appearance of a cell in the kind's walk, reversed for
+    chessboard components."""
+    m, n = a.shape
+    walk = _mono_walk(a) if kind == MONO else _chess_walk(core, m, n)
+    labl, keep = lab.tolist(), wanted.tolist()
+    order = list(dict.fromkeys(k for k in (labl[i * n + j] for i, j in walk) if keep[k]))
+    return order if kind == MONO else order[::-1]
+
+
+def _listed(
+    kind: str,
+    a: np.ndarray,
+    core: Optional[np.ndarray],
+    lab: np.ndarray,
+    cells: np.ndarray,
+    conflicted: Optional[np.ndarray] = None,
+) -> list[Component]:
+    """The components of two or more cells of a label array, listed."""
+    m, n = a.shape
+    size, span = _spans(lab, cells, m, n)
+    start = _starts(lab, cells, n)
+    cells = cells[size[lab[cells]] >= 2]
+    groups: dict[int, set[Cell]] = {}
+    for k, c in zip(lab[cells].tolist(), cells.tolist()):
+        groups.setdefault(k, set()).add(divmod(c, n))
     out = []
-    while remaining:
-        seed = remaining.pop()
-        comp = {seed}
-        queue = deque([seed])
-        while queue:
-            c = queue.popleft()
-            for nb in neighbors(c):
-                if nb in remaining:
-                    remaining.discard(nb)
-                    comp.add(nb)
-                    queue.append(nb)
-        out.append(comp)
+    for k in _list_order(kind, a, core, lab, size >= 2):
+        (h, w), (r0, c0) = span[:, k].tolist(), start[:, k].tolist()
+        rect = Rect(m, n, r0, h, c0, w) if size[k] == h * w else None
+        conflict = conflicted is not None and bool(conflicted[k])
+        out.append(Component(kind, groups[k], rect=rect, conflicted=conflict))
     return out
-
-
-def _cyclic_interval(values: set[int], size: int) -> Optional[tuple[int, int]]:
-    """Recognize a set of residues as a cyclic interval; returns (start, length).
-
-    A full cycle is reported as (0, size).  Returns None if the set is not an
-    interval.
-    """
-    if not values:
-        return None
-    if len(values) == size:
-        return (0, size)
-    # An interval has exactly one value whose predecessor is absent: its start.
-    starts = [v for v in values if (v - 1) % size not in values]
-    if len(starts) != 1:
-        return None
-    return (starts[0], len(values))
-
-
-def as_rect(m: int, n: int, cells: set[Cell]) -> Optional[Rect]:
-    """The cell set as a Rect, or None if it is not a torus rectangle."""
-    rows = {i for i, _ in cells}
-    cols = {j for _, j in cells}
-    ri = _cyclic_interval(rows, m)
-    ci = _cyclic_interval(cols, n)
-    if ri is None or ci is None:
-        return None
-    if len(cells) != len(rows) * len(cols):
-        return None
-    return Rect(m, n, ri[0], ri[1], ci[0], ci[1])
 
 
 def mono_components(cfg: TorusConfig) -> list[Component]:
-    """Connected components of state-1 cells having at least 2 cells."""
-    m, n = cfg.shape
-    cells = {(int(i), int(j)) for i, j in zip(*np.nonzero(cfg.a))}
-    out = []
-    for comp in _components(cells, partial(von_neumann, m, n)):
-        if len(comp) >= 2:
-            out.append(Component(MONO, comp, rect=as_rect(m, n, comp)))
-    return out
+    """Connected components of state-1 cells having at least 2 cells, in
+    the iteration order of `_mono_walk`."""
+    lab, cells = _mono_labels(cfg.a)
+    return _listed(MONO, cfg.a, None, lab, cells)
 
 
 def chess_components(cfg: TorusConfig) -> list[Component]:
     """Maximal chessboard components: the 2-core of the alternation graph
     (edges between adjacent cells of differing state), split into its
-    connected pieces.
+    connected pieces, listed last to first in the iteration order of
+    `_chess_walk`.
 
     The core is what is left after repeatedly peeling cells with fewer than
-    two alternation edges.  Every piece keeps all alternation edges of its
-    cells, so no piece peels further.  The pieces are listed in the reverse
-    of the order in which they are found, and they are found by popping
-    seeds from the set of core cells; that set is built as the set of all
-    cells with the peeled cells discarded one by one, so the list order
-    follows its iteration order.
+    two alternation edges (`_two_core`).  Every piece keeps all alternation
+    edges of its cells, so no piece peels further.
     """
-    m, n = cfg.shape
-    a = cfg.a
-    offsets = von_neumann_offsets(m, n)
-    degree = np.zeros((m, n), dtype=np.uint8)
-    for di, dj in offsets:
-        degree += a != shifted(a, di, dj)
-    # Peel on flat indices; the neighbor of cell i * n + j at an offset is
-    # row_base[i] + col[j].  A cell without alternation edges changes no
-    # degree when peeled, so those go at once and the queue visits the rest.
-    states = a.tobytes()
-    deg = bytearray(degree.tobytes())
-    peeled = bytearray((degree == 0).tobytes())
-    tables = [
-        ([(i + di) % m * n for i in range(m)], [(j + dj) % n for j in range(n)])
-        for di, dj in offsets
-    ]
-    queue = np.flatnonzero(degree == 1).tolist()
-    while queue:
-        c = queue.pop()
-        if peeled[c]:
-            continue
-        peeled[c] = 1
-        i, j = divmod(c, n)
-        for row_base, col in tables:
-            nb = row_base[i] + col[j]
-            if not peeled[nb] and states[nb] != states[c]:
-                deg[nb] -= 1
-                if deg[nb] < 2:
-                    queue.append(nb)
-    if 0 not in peeled:
+    core, _ = _two_core(cfg.a)
+    if not np.count_nonzero(core):
         return []
-
-    # The list order follows this set's table layout, which the
-    # comprehension, the copy and the one-by-one discards fix (`-=` may not).
-    core = set({(i, j) for i in range(m) for j in range(n)})
-    for c in np.flatnonzero(np.frombuffer(peeled, dtype=np.uint8)).tolist():
-        core.discard(divmod(c, n))
-    state = a.tolist()
-    nbrs = {c: von_neumann(m, n, c) for c in core}
-
-    def alt_neighbors(c: Cell) -> list[Cell]:
-        s = state[c[0]][c[1]]
-        return [nb for nb in nbrs[c] if state[nb[0]][nb[1]] != s]
-
-    final: list[Component] = []
-    for piece in reversed(_components(core, alt_neighbors)):
-        conflict = any(
-            state[p][q] == state[i][j]
-            for i, j in piece
-            for p, q in nbrs[i, j]
-            if (p, q) in piece
-        )
-        final.append(Component(CHESS, piece, rect=as_rect(m, n, piece), conflicted=conflict))
-    return final
+    lab, cells, conflicted = _chess_labels(cfg.a, core)
+    return _listed(CHESS, cfg.a, core, lab, cells, conflicted)
 
 
 def component_distance(m: int, n: int, a: Iterable[Cell], b: Iterable[Cell]) -> int:
@@ -246,14 +363,18 @@ def component_distance(m: int, n: int, a: Iterable[Cell], b: Iterable[Cell]) -> 
     raise ValueError("disconnected torus? unreachable")
 
 
-def _interval_gap(a0: int, alen: int, b0: int, blen: int, size: int) -> int:
+def _interval_gap(a0, alen, b0, blen, size: int):
     """Cyclic distance between two coordinate intervals (0 when they meet,
-    as they always do when one is the full cycle)."""
-    if (b0 - a0) % size < alen or (a0 - b0) % size < blen:
-        return 0
-    fwd = (b0 - (a0 + alen)) % size
-    bwd = (a0 - (b0 + blen)) % size
-    return min(fwd, bwd) + 1
+    as they always do when one is the full cycle); ints or broadcast arrays.
+
+    With b starting d = (b0 - a0) % size after a, the gap after a is
+    d - alen and the gap after b is size - d - blen; the intervals meet iff
+    one is negative, and otherwise the distance is the smaller gap plus 1.
+    """
+    d = (b0 - a0) % size
+    after_a, after_b = d - alen, size - d - blen
+    gap = after_b + (after_a < after_b) * (after_a - after_b) + 1
+    return gap * (gap > 0)
 
 
 def rect_distance(a: Rect, b: Rect) -> int:
@@ -283,52 +404,93 @@ class Verdict:
 
 
 def thr2_structure_check(cfg: TorusConfig) -> Verdict:
-    """Check the Threshold-2 structural requirements; witness on violation."""
-    m, n = cfg.shape
-    xs = mono_components(cfg)
-    for comp in xs:
-        if comp.rect is None:
-            return Verdict(False, "non-rectangle-mono", sorted(comp.cells)[:8])
-        if comp.rect.almost_wraparound:
-            return Verdict(False, "almost-wraparound-mono", sorted(comp.cells)[:8])
-    ys = chess_components(cfg)
-    for comp in ys:
-        if comp.conflicted:
-            return Verdict(False, "non-alternating-chess", sorted(comp.cells)[:8])
-        if comp.rect is None:
-            return Verdict(False, "non-rectangle-chess", sorted(comp.cells)[:8])
+    """Check the Threshold-2 structural requirements; witness on violation.
 
-    comps = xs + ys
-    covered = np.zeros((m, n), dtype=bool)
-    chess_zero = np.zeros((m, n), dtype=np.uint8)
-    for comp in comps:
-        rows, cols = zip(*comp.cells)
-        covered[rows, cols] = True
-        if comp.kind == CHESS:
-            chess_zero[rows, cols] = cfg.a[rows, cols] == 0
-    stray = np.argwhere((cfg.a == 1) & ~covered)[:8].tolist()
+    Every requirement is decided on label arrays.  The witness of a failing
+    component or pair is the first one in the order `mono_components` and
+    `chess_components` list them, so the sets that fix that order are built
+    only once something fails (`_list_order`).
+    """
+    m, n = cfg.shape
+    a = cfg.a
+    one = a.ravel().view(bool)
+    # Each kind that has components: (kind, labels, labelled cells, mask of
+    # its component labels, their spans).
+    kinds = []
+    covered = np.zeros(m * n, dtype=bool)
+    lab, cells = _mono_labels(a)
+    if len(cells):
+        size, span = _spans(lab, cells, m, n)
+        mono = size >= 2
+        rect = size == span[0] * span[1]
+        bad = mono & (~rect | _almost_wraparound(m, n, span[0], span[1]))
+        if np.count_nonzero(bad):
+            k = _list_order(MONO, a, None, lab, bad)[0]
+            kind = "almost-wraparound-mono" if rect[k] else "non-rectangle-mono"
+            return Verdict(False, kind, _cells_of(lab, k, n)[:8])
+        kinds.append((MONO, lab, cells, mono, span[:, mono]))
+        covered = one & mono[lab]
+        del size, span, rect, bad
+    core, _ = _two_core(a)
+    if np.count_nonzero(core):
+        lab, cells, conflicted = _chess_labels(a, core)
+        size, span = _spans(lab, cells, m, n)
+        chess = size >= 2
+        bad = chess & (conflicted | (size != span[0] * span[1]))
+        if np.count_nonzero(bad):
+            k = _list_order(CHESS, a, core, lab, bad)[0]
+            kind = "non-alternating-chess" if conflicted[k] else "non-rectangle-chess"
+            return Verdict(False, kind, _cells_of(lab, k, n)[:8])
+        kinds.append((CHESS, lab, cells, chess, span[:, chess]))
+        covered |= core
+        del size, span, bad
+
+    stray = (one & ~covered).nonzero()[0][:8].tolist()
     if stray:
-        return Verdict(False, "state-1-in-Z", [tuple(c) for c in stray])
+        return Verdict(False, "state-1-in-Z", [divmod(c, n) for c in stray])
 
     # Phase requirement: a cell outside all components must not be adjacent to
     # two state-0 chessboard cells; those toggle to 1 in unison and would
     # activate it two steps later.  The witness is the first such cell in
     # row-major order and its first two such neighbors in von Neumann order.
+    chess_zero = (core & ~one).view(np.uint8).reshape(m, n)
     hot_count = neighbor_sum(chess_zero, von_neumann_offsets(m, n))
-    in_phase = np.flatnonzero((hot_count >= 2) & ~covered)
+    in_phase = ((hot_count.ravel() >= 2) & ~covered).nonzero()[0]
     if len(in_phase):
         cell = divmod(int(in_phase[0]), n)
         hot = [nb for nb in von_neumann(m, n, cell) if chess_zero[nb]]
         return Verdict(False, "in-phase-chess-neighbors", [cell] + hot[:2])
 
-    # Every component is a rectangle here, so distances are rectangle gaps.
-    for i, ci in enumerate(comps):
-        for cj in comps[i + 1 :]:
-            need = 3 if MONO in (ci.kind, cj.kind) else 2
-            if rect_distance(ci.rect, cj.rect) < need:
-                w = sorted(ci.cells)[:2] + sorted(cj.cells)[:2]
-                return Verdict(False, "components-too-close", w)
-    return Verdict(True)
+    # Every component is a rectangle here, so the distance of two is the sum
+    # of their row and column interval gaps, over all pairs at once.
+    # Components are numbered kind by kind, each kind by its smallest cell.
+    keys = [wanted.nonzero()[0] for _, _, _, wanted, _ in kinds]
+    if sum(map(len, keys)) < 2:
+        return Verdict(True)
+    start = [_starts(lab, cells, n)[:, x] for (_, lab, cells, _, _), x in zip(kinds, keys)]
+    start = np.concatenate(start, axis=1)
+    span = np.concatenate([span for *_, span in kinds], axis=1)
+    sides = np.array([m, n])[:, None, None]
+    gaps = _interval_gap(start[:, :, None], span[:, :, None], start[:, None], span[:, None], sides)
+    is_mono = np.concatenate([np.full(len(x), kind == MONO) for (kind, *_), x in zip(kinds, keys)])
+    close = gaps.sum(axis=0) < 2 + (is_mono[:, None] | is_mono)
+    close.flat[:: len(close) + 1] = False
+    if not np.count_nonzero(close):
+        return Verdict(True)
+    # The first close pair in list order.
+    order, comps = [], []
+    for (kind, lab, _, wanted, _), x in zip(kinds, keys):
+        listed = _list_order(kind, a, core, lab, wanted)
+        order += (len(comps) + np.searchsorted(x, listed)).tolist()
+        comps += [(lab, k) for k in listed]
+    i, j = np.argwhere(np.triu(close[np.ix_(order, order)], 1))[0]
+    w = [c for lab, k in (comps[i], comps[j]) for c in _cells_of(lab, k, n)[:2]]
+    return Verdict(False, "components-too-close", w)
+
+
+def _cells_of(lab: np.ndarray, k: int, n: int) -> list[Cell]:
+    """The cells labelled k, in row-major order."""
+    return [divmod(c, n) for c in (lab == k).nonzero()[0].tolist()]
 
 
 def majority_structure_check(cfg: TorusConfig) -> bool:

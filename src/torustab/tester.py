@@ -587,6 +587,12 @@ def perimeter_violation(view: RectView, box: BoundingBox, cell: Cell) -> bool:
     )
     if gap not in (1, 2):
         raise ValueError(f"{cell} is not on the box perimeter")
+    return _perimeter_violation(view, box, cell, gap)
+
+
+def _perimeter_violation(view: RectView, box: BoundingBox, cell: Cell, gap: int) -> bool:
+    """`perimeter_violation` of a cell of Gamma=gap(box), gap 1 or 2, whose
+    coordinates are reduced mod (m, n)."""
     if view.read(cell) != 1:
         return False
     if box.kind == MONO:
@@ -604,7 +610,7 @@ def border_violation(view: RectView, box: BoundingBox) -> Optional[tuple[str, Ce
     "interior" cell of the box's 1-boundary; None when the border is clean."""
     for r in (1, 2):
         for p in rect_ring(box.rect, r):
-            if perimeter_violation(view, box, p):
+            if _perimeter_violation(view, box, p, r):
                 return "perimeter", p
     for p in _rect_inner_boundary(box.rect):
         if interior_violation(view, box, p):

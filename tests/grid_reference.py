@@ -1,6 +1,7 @@
 """Reference helpers for the tests: brute-force torus distances and balls,
-the cells of a rectangle, the per-cell classification, every configuration
-of every small torus, and seeded stabilizer inputs.
+the cells of a rectangle, the per-cell classification, the set-walk
+components, every configuration of every small torus, and seeded
+stabilizer inputs.
 
 These have no caller in the package; the tests use them as independent
 oracles for neighborhood-shaped reads and rings, and as exhaustive or
@@ -9,11 +10,13 @@ fuzzed inputs.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections import deque
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from torustab.grid import Cell, Rule, TorusConfig, apply_rule, cyclic_distance
+from torustab.grid import Cell, Rule, TorusConfig, apply_rule, cyclic_distance, von_neumann
+from torustab.structure import CHESS, MONO, Component, Rect
 
 FIXED = "fixed"
 TOGGLING = "toggling"
@@ -75,6 +78,104 @@ def neighborhood(
     if r == 0:
         return ball(0)
     return ball(r) - ball(r - 1)
+
+
+def set_walk(cells: set[Cell], neighbors: Callable[[Cell], list[Cell]]) -> list[set[Cell]]:
+    """Connected components of a cell set under a neighbor relation.
+
+    Seeds are popped from a copy of the set and each component is walked
+    breadth-first, so the list order follows the set's iteration order.
+    """
+    remaining = set(cells)
+    out = []
+    while remaining:
+        seed = remaining.pop()
+        comp = {seed}
+        queue = deque([seed])
+        while queue:
+            c = queue.popleft()
+            for nb in neighbors(c):
+                if nb in remaining:
+                    remaining.discard(nb)
+                    comp.add(nb)
+                    queue.append(nb)
+        out.append(comp)
+    return out
+
+
+def cyclic_interval(values: set[int], size: int) -> Optional[tuple[int, int]]:
+    """Recognize a set of residues as a cyclic interval; returns (start, length).
+
+    A full cycle is reported as (0, size).  Returns None if the set is not an
+    interval.
+    """
+    if not values:
+        return None
+    if len(values) == size:
+        return (0, size)
+    # An interval has exactly one value whose predecessor is absent: its start.
+    starts = [v for v in values if (v - 1) % size not in values]
+    if len(starts) != 1:
+        return None
+    return (starts[0], len(values))
+
+
+def as_rect(m: int, n: int, cells: set[Cell]) -> Optional[Rect]:
+    """The cell set as a Rect, or None if it is not a torus rectangle."""
+    rows = {i for i, _ in cells}
+    cols = {j for _, j in cells}
+    ri = cyclic_interval(rows, m)
+    ci = cyclic_interval(cols, n)
+    if ri is None or ci is None:
+        return None
+    if len(cells) != len(rows) * len(cols):
+        return None
+    return Rect(m, n, ri[0], ri[1], ci[0], ci[1])
+
+
+def set_walk_mono(cfg: TorusConfig) -> list[Component]:
+    """Reference for `structure.mono_components`: the set walk over the
+    state-1 cells, components of at least 2 cells in the order found."""
+    m, n = cfg.shape
+    cells = {(int(i), int(j)) for i, j in zip(*np.nonzero(cfg.a))}
+    comps = set_walk(cells, lambda c: von_neumann(m, n, c))
+    return [Component(MONO, comp, rect=as_rect(m, n, comp)) for comp in comps if len(comp) >= 2]
+
+
+def set_walk_chess(cfg: TorusConfig) -> list[Component]:
+    """Reference for `structure.chess_components`: a one-cell-at-a-time
+    peel to the alternation 2-core, then the set walk over the core, built as
+    the set of all cells with the peeled cells discarded one by one in
+    row-major order; the pieces in the reverse of the order found."""
+    m, n = cfg.shape
+    state = cfg.a.tolist()
+
+    def alt_neighbors(c: Cell) -> list[Cell]:
+        return [nb for nb in von_neumann(m, n, c) if state[nb[0]][nb[1]] != state[c[0]][c[1]]]
+
+    degree = {(i, j): len(alt_neighbors((i, j))) for i in range(m) for j in range(n)}
+    peeled = set()
+    queue = deque(c for c, d in degree.items() if d < 2)
+    while queue:
+        c = queue.popleft()
+        if c in peeled:
+            continue
+        peeled.add(c)
+        for nb in alt_neighbors(c):
+            if nb not in peeled:
+                degree[nb] -= 1
+                if degree[nb] < 2:
+                    queue.append(nb)
+    core = set({(i, j) for i in range(m) for j in range(n)})
+    for c in sorted(peeled):
+        core.discard(c)
+    out = []
+    for piece in reversed(set_walk(core, lambda c: [nb for nb in alt_neighbors(c) if nb in core])):
+        conflict = any(
+            state[p][q] == state[i][j] for i, j in piece for p, q in von_neumann(m, n, (i, j)) if (p, q) in piece
+        )
+        out.append(Component(CHESS, piece, rect=as_rect(m, n, piece), conflicted=conflict))
+    return out
 
 
 def all_small_tori(max_cells: int):

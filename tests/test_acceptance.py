@@ -26,7 +26,7 @@ from torustab.grid import (
     von_neumann,
 )
 from torustab.stabilizer import StabilizerParams, stabilize
-from torustab.structure import Rect, as_rect, majority_structure_check, thr2_structure_check
+from torustab.structure import Rect, majority_structure_check, thr2_structure_check
 from torustab.tester import (
     QueryOracle,
     TesterParams as TParams,
@@ -35,7 +35,7 @@ from torustab.tester import (
     run_tester,
 )
 
-from grid_reference import rect_cells
+from grid_reference import as_rect, rect_cells
 
 
 def batch_stable(grids: np.ndarray, rule: Rule) -> np.ndarray:

@@ -9,8 +9,11 @@ list (in order), output grid and report.  The near-W families were recorded
 from the cell-by-cell Step 3 box repair that the row and slice forms
 replaced, the multi-tile ones from the near-W repair with the mono branch
 and the compare against the W row that the row rule replaced.  The
-exhaustive 4x4 family is stored as one sha256 over its rows; every other
-family row by row.
+structure families from hard-64-128 on were recorded from the set walk and
+the per-cell peel queue that the torus labels and the frontier peel
+replaced; they hold several failing components per torus, so the set order
+that picks the witness is pinned above 8x8.  The exhaustive 4x4 family is
+stored as one sha256 over its rows; every other family row by row.
 
 Re-record only after an intended output change:
     PYTHONPATH=src python tests/test_frozen_outputs.py
@@ -77,6 +80,18 @@ def placed_rects(rng, m: int, n: int, count: int, p_mono: float) -> TorusConfig:
     return TorusConfig(a)
 
 
+def chess_bands(rng, m: int, n: int, count: int) -> TorusConfig:
+    """Chessboard bands 2 or 3 rows high across the whole width, at random
+    rows and phases.  On odd n a band's seam holds a same-state pair, so a
+    band is a non-alternating chessboard component; on even sides the torus
+    grid is bipartite and no component can be one."""
+    a = np.zeros((m, n), np.uint8)
+    for _ in range(count):
+        rows = (int(rng.integers(m)) + np.arange(int(rng.integers(2, 4)))) % m
+        a[rows, :] = (np.add.outer(rows, np.arange(n)) + rng.integers(2)) % 2
+    return TorusConfig(a)
+
+
 def noisy_wraparound(rng, m: int, n: int) -> TorusConfig:
     """Chessboard wraparound rows at random phases, 2 to 8 rows apart, plus
     sparse noise: inputs on which Step 1 finds and repairs lines."""
@@ -116,6 +131,22 @@ def structure_cases():
     yield "stable-48", [stable_48(seed) for seed in range(6)]
     rng = np.random.default_rng(502)
     yield "perturbed-48", [perturb(stable_48(seed), 6, rng) for seed in range(6)]
+    yield "hard-64-128", [gen_hard_thr2(64), gen_hard_thr2(128)]
+    yield "stable-128-wraparound", [
+        gen_stable_thr2(GenSpec(m=128, n=128, rects=8, seed=seed, wraparound_row=True))
+        for seed in range(2)
+    ]
+    # Several failing components per torus, so the order in which the check
+    # meets them (the set walk's seed order) decides the witness.
+    rng = np.random.default_rng(508)
+    yield "placed-rects-48x48-40x56", [
+        placed_rects(rng, m, n, int(rng.integers(10, 40)), (0.0, 0.0, 0.3, 1.0)[t % 4])
+        for m, n in ((48, 48), (40, 56))
+        for t in range(12)
+    ]
+    rng = np.random.default_rng(509)
+    bands = [chess_bands(rng, m, n, int(rng.integers(2, 6))) for m, n in ((45, 51), (40, 33)) for _ in range(4)]
+    yield "chess-bands-odd", bands + [TorusConfig(cfg.a.T) for cfg in bands]
 
 
 def stabilize_cases():

@@ -4,6 +4,7 @@ The headline property in both rules: the structural check must agree with the
 exact dynamic oracle (two rule applications return to the start).
 """
 
+import time
 from collections import deque
 
 import numpy as np
@@ -12,8 +13,7 @@ from torustab import MAJORITY, THR2, TorusConfig, is_stable, von_neumann
 from torustab.generators import GenSpec, gen_hard_thr2, gen_stable_thr2, perturb
 from torustab.structure import (
     Rect,
-    _cyclic_interval,
-    as_rect,
+    _two_core,
     chess_components,
     component_distance,
     majority_structure_check,
@@ -22,7 +22,14 @@ from torustab.structure import (
     thr2_structure_check,
 )
 
-from grid_reference import all_small_tori, rect_cells
+from grid_reference import (
+    all_small_tori,
+    as_rect,
+    cyclic_interval,
+    rect_cells,
+    set_walk_chess,
+    set_walk_mono,
+)
 
 
 def cfg_from(rows: list[str]) -> TorusConfig:
@@ -120,7 +127,7 @@ class TestRect:
 
 
 def scan_cyclic_interval(values: set[int], size: int):
-    """Reference for `_cyclic_interval`: scan all `size` residues and count
+    """Reference for `cyclic_interval`: scan all `size` residues and count
     the runs of present values, treating the residues cyclically."""
     if not values:
         return None
@@ -139,7 +146,7 @@ class TestCyclicInterval:
         for size in range(1, 13):
             for mask in range(1 << size):
                 values = {v for v in range(size) if mask >> v & 1}
-                assert _cyclic_interval(values, size) == scan_cyclic_interval(values, size), (
+                assert cyclic_interval(values, size) == scan_cyclic_interval(values, size), (
                     size,
                     values,
                 )
@@ -233,6 +240,87 @@ class TestComponents:
         assert component_distance(8, 8, [(0, 0)], [(0, 3)]) == 3
         assert component_distance(8, 8, [(0, 0), (0, 1)], [(1, 1)]) == 1
         assert component_distance(8, 8, [(0, 0)], [(7, 7)]) == 2
+
+
+def alternating_snake(m: int, n: int) -> tuple[np.ndarray, list]:
+    """A boustrophedon path over rows 1, 4, 7, ... joined by 3-cell
+    connectors, states alternating along it, every other cell 0; and the
+    path.  A turn whose two path neighbours are 1 gets its inner corner set
+    to 1 as well, so no 4-cycle closes there and the path peels one cell
+    per round from each end."""
+    path = []
+    rows = list(range(1, m - 2, 3))
+    for t, r in enumerate(rows):
+        path += [(r, c) for c in (range(1, n - 1) if t % 2 == 0 else range(n - 2, 0, -1))]
+        if t + 1 < len(rows):
+            c = n - 2 if t % 2 == 0 else 1
+            path += [(r + 1, c), (r + 2, c)]
+    a = np.zeros((m, n), np.uint8)
+    for t, cell in enumerate(path):
+        a[cell] = t % 2
+    for (pi, pj), (ti, tj), (ni, nj) in zip(path, path[1:], path[2:]):
+        if pi != ni and pj != nj and a[pi, pj] == 1:
+            a[pi + ni - ti, pj + nj - tj] = 1
+    return a, path
+
+
+class TestLabelsMatchSetWalk:
+    """`mono_components` and `chess_components` (torus labels, frontier peel,
+    set order only for the listing) against the set walk they replaced, in
+    cells, order, rectangle and conflict flag."""
+
+    @staticmethod
+    def same(cfg: TorusConfig) -> None:
+        assert mono_components(cfg) == set_walk_mono(cfg), cfg.to_text()
+        assert chess_components(cfg) == set_walk_chess(cfg), cfg.to_text()
+
+    def test_every_torus_up_to_4x4(self):
+        total = 0
+        for m in range(1, 5):
+            for n in range(1, 5):
+                codes = np.arange(1 << (m * n), dtype=np.uint32)
+                grids = ((codes[:, None] >> np.arange(m * n)) & 1).astype(np.uint8)
+                for g in grids.reshape(-1, m, n):
+                    self.same(TorusConfig(g))
+                total += len(grids)
+        assert total == 74_954
+
+    def test_seeded_random_tori(self):
+        rng = np.random.default_rng(63)
+        shapes = [(1, 9), (9, 1), (2, 7), (7, 2), (2, 2), (5, 5), (7, 9), (11, 6), (13, 17), (24, 31)]
+        multi = 0
+        for m, n in shapes:
+            for density in (0.2, 0.4, 0.5, 0.6, 0.8):
+                for _ in range(6):
+                    cfg = TorusConfig((rng.random((m, n)) < density).astype(np.uint8))
+                    self.same(cfg)
+                    multi += len(chess_components(cfg)) > 1
+            # Chessboard blocks of both phases, so pieces touch and conflict.
+            for _ in range(6):
+                a = (rng.random((m, n)) < 0.1).astype(np.uint8)
+                for _ in range(4):
+                    h, w = int(rng.integers(1, m + 1)), int(rng.integers(1, n + 1))
+                    rows = (int(rng.integers(m)) + np.arange(h)) % m
+                    cols = (int(rng.integers(n)) + np.arange(w)) % n
+                    a[np.ix_(rows, cols)] = np.add.outer(rows, cols + int(rng.integers(2))) % 2
+                self.same(TorusConfig(a))
+        assert multi > 20
+
+    def test_long_snake(self):
+        """An alternating path of 1,342 cells peels from its two ends, one
+        cell each per round; all 1s, the same path is one long mono
+        component."""
+        a, path = alternating_snake(64, 64)
+        assert len(path) == 1342
+        start = time.perf_counter()
+        core, rounds = _two_core(a)
+        seconds = time.perf_counter() - start
+        assert not core.any() and rounds == 672
+        self.same(TorusConfig(a))
+        mono = np.zeros_like(a)
+        mono[tuple(np.array(path).T)] = 1
+        self.same(TorusConfig(mono))
+        print(f"snake: {len(path)} cells peeled in {rounds} rounds, {seconds * 1e3:.1f} ms")
 
 
 class TestThr2Check:
