@@ -17,9 +17,12 @@ with pointer jumping over its flat edge list: mono components are the
 state-1 cells under adjacency, chessboard components the pieces of the
 alternation 2-core (peeled in whole-frontier rounds by `_two_core`) under
 alternation edges.  A component is a rectangle iff its size is the product
-of its numbers of distinct rows and columns; a chessboard piece conflicts
-iff two adjacent cells of one state share its label; coverage and phase are
-masks; distances are one broadcast of rectangle gaps over all pairs.
+of its numbers of distinct rows and columns (one sort of (label, row) and
+(label, column) keys); a chessboard piece conflicts iff two adjacent cells
+of one state share its label; coverage is a mask, the phase requirement a
+count of state-0 chessboard neighbours; distances are one broadcast of
+rectangle gaps over all pairs.  Without a state-1 cell the mono stage is
+skipped, and with an empty core the chessboard stage and the phase test.
 
 Components are listed, and a failing component or pair is reported, in the
 order the set walk that the labels replaced found them: the iteration
@@ -43,16 +46,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .grid import (
-    MAJORITY,
-    Cell,
-    TorusConfig,
-    is_stable,
-    neighbor_sum,
-    shifted,
-    von_neumann,
-    von_neumann_offsets,
-)
+from .grid import MAJORITY, Cell, TorusConfig, is_stable, shifted, von_neumann
 
 MONO = "mono"
 CHESS = "chess"
@@ -140,11 +134,13 @@ def torus_labels(edges: np.ndarray) -> np.ndarray:
     Min-label hooking with pointer jumping over the flat edge list: every
     cell starts as its own label; each round reads both labels of every
     edge, lowers the larger one's label to the smaller (`np.minimum.at`)
-    and jumps every label once (`lab[lab]`), until every edge joins equal
-    labels.  A label only decreases and always names a cell of the same
-    component, so after the last full jump each component is labelled by
-    its smallest index.  A jump halves every label chain, so the rounds stay
-    far below a component's diameter: 10 on a path of 1,342 cells.
+    and jumps every label twice (`lab[lab]`), until every edge joins equal
+    labels.  A label only decreases, never exceeds its cell's index and
+    always names a cell of the same component; once every edge joins equal
+    labels, each component carries a single label, so that label is its
+    smallest index.  A jump halves every label chain, so the rounds stay
+    far below a component's diameter: 6 on a path of 1,342 cells, 2 on most
+    components of a few cells.
     """
     _, m, n = edges.shape
     e = edges.ravel().nonzero()[0]
@@ -153,20 +149,24 @@ def torus_labels(edges: np.ndarray) -> np.ndarray:
     while True:
         lu, lv = lab[u], lab[v]
         if not np.count_nonzero(lu != lv):
-            break
+            return lab
         np.minimum.at(lab, np.maximum(lu, lv), np.minimum(lu, lv))
         lab = lab[lab]
-    while True:
-        jumped = lab[lab]
-        if not np.count_nonzero(jumped != lab):
-            return lab
-        lab = jumped
+        lab = lab[lab]
 
 
-def _two_core(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """The 2-core of the alternation graph of a grid (edges between adjacent
-    cells of differing state) as a flat (mn,) bool mask, and the number of
-    peel rounds.
+def _alternation(a: np.ndarray) -> np.ndarray:
+    """(4, mn): per row of `_tables`' `around` and cell, whether the cell
+    and that neighbour are distinct cells of differing state, i.e. joined
+    by an edge of the alternation graph."""
+    around, distinct = _tables(*a.shape)
+    flat = a.ravel()
+    return (flat[around] != flat) & distinct
+
+
+def _two_core(alt: np.ndarray, m: int, n: int) -> tuple[np.ndarray, int]:
+    """The 2-core of the alternation graph `alt` (from `_alternation`) of an
+    m x n grid as a flat (mn,) bool mask, and the number of peel rounds.
 
     Cells of alternation degree < 2 are peeled in whole-frontier rounds:
     each round lowers the degree of every live alternation neighbour of the
@@ -174,10 +174,7 @@ def _two_core(a: np.ndarray) -> tuple[np.ndarray, int]:
     The 2-core does not depend on the peel order, so this is the core that
     peeling one cell at a time leaves.
     """
-    m, n = a.shape
-    around, distinct = _tables(m, n)
-    flat = a.ravel()
-    alt = (flat[around] != flat) & distinct
+    around = _tables(m, n)[0]
     degree = alt.sum(axis=0)
     alive = degree >= 2
     # A cell without alternation edges changes no degree when peeled.
@@ -199,22 +196,24 @@ def _two_core(a: np.ndarray) -> tuple[np.ndarray, int]:
     return alive, rounds
 
 
-def _mono_labels(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Labels of the state-1 cells under adjacency, and those cells (flat)."""
+def _mono_labels(a: np.ndarray) -> np.ndarray:
+    """Labels of the state-1 cells under adjacency."""
     m, n = a.shape
     one = a.ravel().view(bool)
-    return torus_labels((one[_tables(m, n)[0][:2]] & one).reshape(2, m, n)), one.nonzero()[0]
+    return torus_labels((one[_tables(m, n)[0][:2]] & one).reshape(2, m, n))
 
 
-def _chess_labels(a: np.ndarray, core: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _chess_labels(
+    a: np.ndarray, alt: np.ndarray, core: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Labels of the core cells under alternation edges, those cells (flat),
     and per label whether its piece holds two adjacent cells of one state."""
     m, n = a.shape
     around, distinct = _tables(m, n)
-    flat = a.ravel()
     step = around[:2]
-    lab = torus_labels((core[step] & core & (flat[step] != flat)).reshape(2, m, n))
-    _, same = ((lab[around] == lab) & (flat[around] == flat) & distinct).nonzero()
+    lab = torus_labels((alt[:2] & core[step] & core).reshape(2, m, n))
+    # Two distinct neighbours are a right or a down pair of one of them.
+    _, same = ((lab[step] == lab) & ~alt[:2] & distinct[:2]).nonzero()
     conflicted = np.zeros(m * n, dtype=bool)
     conflicted[lab[same]] = True
     return lab, core.nonzero()[0], conflicted
@@ -231,16 +230,17 @@ def _spans(lab: np.ndarray, cells: np.ndarray, m: int, n: int) -> tuple[np.ndarr
     size = np.bincount(labs, minlength=m * n)
     keep = size[labs] >= 2
     cells, labs = cells[keep], labs[keep]
-    span = np.zeros((2, m * n), dtype=np.int32)
     rows = cells // n
-    for axis, coord, length in ((0, rows, m), (1, cells - rows * n, n)):
-        keys = labs * length + coord
-        keys.sort()
-        first = np.empty(len(keys), dtype=bool)
-        first[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        span[axis] = np.bincount(keys[first] // length, minlength=m * n)
-    return size, span
+    # One sort of (label, row) and (label, column) keys; a key's quotient
+    # by `side` is its label for a row and mn plus its label for a column.
+    side = max(m, n)
+    base = labs * side
+    keys = np.concatenate((base + rows, base + (cells - rows * n + m * n * side)))
+    keys.sort()
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return size, np.bincount(keys[first] // side, minlength=2 * m * n).reshape(2, m * n)
 
 
 def _starts(lab: np.ndarray, cells: np.ndarray, n: int) -> np.ndarray:
@@ -323,8 +323,7 @@ def _listed(
 def mono_components(cfg: TorusConfig) -> list[Component]:
     """Connected components of state-1 cells having at least 2 cells, in
     the iteration order of `_mono_walk`."""
-    lab, cells = _mono_labels(cfg.a)
-    return _listed(MONO, cfg.a, None, lab, cells)
+    return _listed(MONO, cfg.a, None, _mono_labels(cfg.a), cfg.a.ravel().nonzero()[0])
 
 
 def chess_components(cfg: TorusConfig) -> list[Component]:
@@ -337,10 +336,11 @@ def chess_components(cfg: TorusConfig) -> list[Component]:
     two alternation edges (`_two_core`).  Every piece keeps all alternation
     edges of its cells, so no piece peels further.
     """
-    core, _ = _two_core(cfg.a)
+    alt = _alternation(cfg.a)
+    core, _ = _two_core(alt, *cfg.shape)
     if not np.count_nonzero(core):
         return []
-    lab, cells, conflicted = _chess_labels(cfg.a, core)
+    lab, cells, conflicted = _chess_labels(cfg.a, alt, core)
     return _listed(CHESS, cfg.a, core, lab, cells, conflicted)
 
 
@@ -418,8 +418,9 @@ def thr2_structure_check(cfg: TorusConfig) -> Verdict:
     # its component labels, their spans).
     kinds = []
     covered = np.zeros(m * n, dtype=bool)
-    lab, cells = _mono_labels(a)
+    cells = one.nonzero()[0]
     if len(cells):
+        lab = _mono_labels(a)
         size, span = _spans(lab, cells, m, n)
         mono = size >= 2
         rect = size == span[0] * span[1]
@@ -431,9 +432,10 @@ def thr2_structure_check(cfg: TorusConfig) -> Verdict:
         kinds.append((MONO, lab, cells, mono, span[:, mono]))
         covered = one & mono[lab]
         del size, span, rect, bad
-    core, _ = _two_core(a)
+    alt = _alternation(a)
+    core, _ = _two_core(alt, m, n)
     if np.count_nonzero(core):
-        lab, cells, conflicted = _chess_labels(a, core)
+        lab, cells, conflicted = _chess_labels(a, alt, core)
         size, span = _spans(lab, cells, m, n)
         chess = size >= 2
         bad = chess & (conflicted | (size != span[0] * span[1]))
@@ -444,6 +446,7 @@ def thr2_structure_check(cfg: TorusConfig) -> Verdict:
         kinds.append((CHESS, lab, cells, chess, span[:, chess]))
         covered |= core
         del size, span, bad
+    del alt
 
     stray = (one & ~covered).nonzero()[0][:8].tolist()
     if stray:
@@ -451,15 +454,20 @@ def thr2_structure_check(cfg: TorusConfig) -> Verdict:
 
     # Phase requirement: a cell outside all components must not be adjacent to
     # two state-0 chessboard cells; those toggle to 1 in unison and would
-    # activate it two steps later.  The witness is the first such cell in
+    # activate it two steps later.  Each such cell adds one to the count of
+    # each of its distinct neighbours.  The witness is the first such cell in
     # row-major order and its first two such neighbors in von Neumann order.
-    chess_zero = (core & ~one).view(np.uint8).reshape(m, n)
-    hot_count = neighbor_sum(chess_zero, von_neumann_offsets(m, n))
-    in_phase = ((hot_count.ravel() >= 2) & ~covered).nonzero()[0]
-    if len(in_phase):
-        cell = divmod(int(in_phase[0]), n)
-        hot = [nb for nb in von_neumann(m, n, cell) if chess_zero[nb]]
-        return Verdict(False, "in-phase-chess-neighbors", [cell] + hot[:2])
+    chess_zero = core & ~one
+    hot = chess_zero.nonzero()[0]
+    if len(hot):
+        around, distinct = _tables(m, n)
+        hits = np.take(around, hot, axis=1)[distinct[:, 0]]
+        hot_count = np.bincount(hits.ravel(), minlength=m * n)
+        in_phase = ((hot_count >= 2) & ~covered).nonzero()[0]
+        if len(in_phase):
+            cell = divmod(int(in_phase[0]), n)
+            hot = [(i, j) for i, j in von_neumann(m, n, cell) if chess_zero[i * n + j]]
+            return Verdict(False, "in-phase-chess-neighbors", [cell] + hot[:2])
 
     # Every component is a rectangle here, so the distance of two is the sum
     # of their row and column interval gaps, over all pairs at once.

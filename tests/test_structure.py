@@ -13,6 +13,7 @@ from torustab import MAJORITY, THR2, TorusConfig, is_stable, von_neumann
 from torustab.generators import GenSpec, gen_hard_thr2, gen_stable_thr2, perturb
 from torustab.structure import (
     Rect,
+    _alternation,
     _two_core,
     chess_components,
     component_distance,
@@ -313,7 +314,7 @@ class TestLabelsMatchSetWalk:
         a, path = alternating_snake(64, 64)
         assert len(path) == 1342
         start = time.perf_counter()
-        core, rounds = _two_core(a)
+        core, rounds = _two_core(_alternation(a), 64, 64)
         seconds = time.perf_counter() - start
         assert not core.any() and rounds == 672
         self.same(TorusConfig(a))
