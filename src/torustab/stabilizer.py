@@ -1,10 +1,12 @@
 """Threshold-2 stabilization: wraparound repair, box repair, global cleanup.
 
 The procedure runs in four steps.  Step 1 finds rows (or columns) that are
-nearly chessboard wraparounds and repairs them into exact ones; the repaired
-set W is exempt from everything that follows.  Step 2 applies the
+nearly chessboard wraparounds and repairs each into the exact one of its
+parity class; every repaired line joins the set W (see `_repair_lines`),
+which is exempt from everything that follows.  Step 2 applies the
 k-rectangulation outside W.  Step 3 collects the maximal alpha-good bounding
-boxes of sigma# and eliminates their interior violations; a box within
+boxes of sigma#, keeps those whose repairs stay stable alone and beside each
+close kept box, and eliminates their interior violations; a box within
 distance 2 of W zeroes its distance-2 rows and the rows they squeeze (see
 `_fix_box_near_w_inplace`).  Step 4 zeroes every cell left uncovered.
 
@@ -61,8 +63,6 @@ class StabilizerParams:
             raise ValueError(f"eps must be in (0, 1], got {self.eps}")
         if self.c1 < 4 or self.c2 < 3:
             raise ValueError("bad stabilizer constants")
-        if not (0 < self.eps / self.c2 < 0.5):
-            raise ValueError("alpha must lie in (0, 1/2)")
 
     @property
     def alpha(self) -> float:
@@ -97,17 +97,18 @@ def _alpha_lines(planes, alpha: float):
     return lines(row), lines(col.T)
 
 
-def _fix_row_inplace(a: np.ndarray, r: int, anchor_col: int) -> np.ndarray:
-    """Make row r an exact chessboard wraparound; returns the (m, n) mask of
-    the changed cells.
+def _fix_row_inplace(a: np.ndarray, r: int, parity: int) -> np.ndarray:
+    """Make row r an exact chessboard wraparound of the parity class (0:
+    state-1 cells at even positions); returns the (m, n) mask of the
+    changed cells.
 
-    The target pattern extends the anchor cell's parity; rows r+-1 are zeroed;
-    in rows r+-2, cells that the pattern extension would activate are zeroed,
-    and then (against a snapshot) all monochromatic cells there as well.
+    Rows r+-1 are zeroed; in rows r+-2, cells that the pattern would activate
+    are zeroed, and then (against a snapshot) all monochromatic cells there
+    as well.
     """
     m, n = a.shape
     before = a.copy()
-    pattern = (np.arange(n) - anchor_col) % 2 ^ int(a[r, anchor_col])
+    pattern = (np.arange(n) + parity + 1) % 2
     a[r] = pattern
     rows1 = list({(r - 1) % m, (r + 1) % m} - {r})
     a[rows1] = 0
@@ -120,32 +121,57 @@ def _fix_row_inplace(a: np.ndarray, r: int, anchor_col: int) -> np.ndarray:
     return a != before
 
 
-def fix_wraparound_row(
-    cfg: TorusConfig, r: int, parity: Optional[int] = None
-) -> tuple[TorusConfig, int]:
-    """Repair row r into an exact chessboard wraparound.
+def fix_wraparound_row(cfg: TorusConfig, r: int) -> tuple[TorusConfig, int]:
+    """Repair row r into an exact chessboard wraparound of the parity class
+    that most of its wraparound-consistent cells hold; parity 0 wins a tie.
 
-    The anchor is a wraparound-consistent cell of the majority parity class
-    (or of the given parity).  Only rows r-2..r+2 are touched.  Returns the
-    repaired configuration and the number of modified cells.
+    Only rows r-2..r+2 are touched.  Returns the repaired configuration and
+    the number of modified cells.
     """
     if cfg.n % 2 != 0:
         raise ValueError("a chessboard wraparound row needs an even row length")
     r %= cfg.m
-    cols: tuple[list[int], list[int]] = ([], [])
+    counts = [0, 0]
     for c in range(cfg.n):
         p = classify_wraparound(cfg, (r, c)).row
         if p is not None:
-            cols[p].append(c)
-    if parity is None:
-        if not cols[0] and not cols[1]:
-            raise NoMajorityClass(f"no wraparound-consistent cell in row {r}")
-        parity = 0 if len(cols[0]) >= len(cols[1]) else 1
-    if not cols[parity]:
-        raise NoMajorityClass(f"no parity-{parity} consistent cell in row {r}")
+            counts[p] += 1
+    if counts == [0, 0]:
+        raise NoMajorityClass(f"no wraparound-consistent cell in row {r}")
     a = cfg.a.copy()
-    changed = _fix_row_inplace(a, r, cols[parity][0])
+    changed = _fix_row_inplace(a, r, 0 if counts[0] >= counts[1] else 1)
     return TorusConfig(a), int(changed.sum())
+
+
+def _repair_lines(a: np.ndarray, lines: list[tuple[int, int]]) -> tuple[list[int], np.ndarray]:
+    """Step 1 on the alpha-lines (row, parity) of `a`, in place: returns W,
+    the rows repaired into exact wraparounds, and the mask of changed cells.
+
+    Same-parity lines at distance 2 would zero each other's cells, so only
+    the first of each such pair is repaired.  Every repaired line is in W,
+    exact with both neighbor rows 0, once all repairs are done:
+      - alpha = eps / c2 <= 1/3, as c2 >= 3 and eps <= 1, so an alpha-line
+        has more than n/2 cells in its parity class.  Two adjacent lines
+        would share a class position j; line r's window at j needs line r+1
+        to be 0 over j-2..j+2, while line r+1's window at j needs it to
+        alternate over j-3..j+3.  So no two lines are adjacent, and no
+        repair writes its neighbor-row zeros over another line.
+      - A repair two rows away zeroes cells where its pattern is 1 and mono
+        cells.  The filter leaves only lines of the other parity there, and
+        an exact line with 0 neighbor rows has 1s only where that pattern is
+        0, and no mono cell.
+      - A repair writes 1s only into its own row, so it cannot disturb the
+        0 neighbor rows of another line.
+    """
+    kept: list[tuple[int, int]] = []
+    for r, p in sorted(lines):
+        if any(cyclic_distance(r, r2, a.shape[0]) == 2 and p2 == p for r2, p2 in kept):
+            continue
+        kept.append((r, p))
+    changed = np.zeros(a.shape, dtype=bool)
+    for r, p in kept:
+        changed |= _fix_row_inplace(a, r, p)
+    return [r for r, _ in kept], changed
 
 
 # ---------------------------------------------------------------------------
@@ -252,31 +278,31 @@ def _compatible_boxes(
     its own and every close pair coexists (distance and chessboard-phase
     constraints).  Individually good boxes can still clash -- e.g. two
     adjacent 2x2 chessboard blocks whose toggles merge into an unstable
-    blob -- so boxes are kept largest-first, dropping any whose planned
-    pattern is unstable alone or together with an already-kept neighbor.
-    Each kept box carries its planned pattern: the repaired box alone on an
-    otherwise empty torus.
+    blob -- so boxes are kept largest-first, dropping any whose repair is
+    unstable alone or beside an already-kept box within distance 4.  Each
+    test repaints one scratch torus from zero: the box, or the kept box and
+    then the box over it.
     """
     order = sorted(
         pairs,
         key=lambda bv: (-bv[0].rect.size(), bv[0].rect.row0, bv[0].rect.col0, bv[0].kind),
     )
-    kept: list[tuple[BoundingBox, int, np.ndarray]] = []
+    scratch = np.zeros((view.m, view.n), dtype=np.uint8)
+
+    def stable_repair(*boxes: BoundingBox) -> bool:
+        scratch[:] = 0
+        for b in boxes:
+            _fix_box_inplace(scratch, b, view.read(b.anchor))
+        return is_stable(TorusConfig(scratch), THR2)
+
+    kept: list[tuple[BoundingBox, int]] = []
     for box, v in order:
-        planned = np.zeros((view.m, view.n), dtype=np.uint8)
-        _fix_box_inplace(planned, box, view.read(box.anchor))
-        if not is_stable(TorusConfig(planned), THR2):
-            continue
-        inside = np.ix_(box.rect.rows(), box.rect.cols())
-        for other, _, other_planned in kept:
-            if rect_distance(box.rect, other.rect) <= 4:
-                union = other_planned.copy()
-                union[inside] = planned[inside]
-                if not is_stable(TorusConfig(union), THR2):
-                    break
-        else:
-            kept.append((box, v, planned))
-    return [(box, v) for box, v, _ in kept]
+        if stable_repair(box) and all(
+            rect_distance(box.rect, other.rect) > 4 or stable_repair(other, box)
+            for other, _ in kept
+        ):
+            kept.append((box, v))
+    return kept
 
 
 def _fix_box_inplace(a: np.ndarray, box: BoundingBox, anchor_val: int) -> int:
@@ -303,10 +329,10 @@ def _fix_box_near_w_inplace(
     Why nothing else is needed.  After Step 1, for each W row w, rows w+-1
     are all 0, and rows w+-2 hold no 1 where row w holds a 1 and no mono
     cell (a 1 with a 1 neighbor): `_fix_row_inplace` zeroes those cells.  A
-    later repair writes 1s only into its own row, a row joins W only if it
-    is exact and both its neighbors are 0, and Step 2 only zeroes cells
-    outside W.  So in sigma# no plus-kind anchor lies on row w or rows w+-1,
-    and a box's rows are the rows its vertical arm covers:
+    later repair writes 1s only into its own row, every repaired row ends
+    exact with both its neighbors 0 (`_repair_lines`), and Step 2 only
+    zeroes cells outside W.  So in sigma# no plus-kind anchor lies on row w
+    or rows w+-1, and a box's rows are the rows its vertical arm covers:
       I1. No mono box has a row within distance 2 of W: that row's arm
           cell, or the anchor itself, would be a mono cell of row w+-2.
       I2. No box row is at distance < 2: a chess arm from (w+2, j) = 1
@@ -395,42 +421,15 @@ def stabilize(
     elif params.eps != eps:
         raise ValueError(f"eps {eps} differs from params.eps {params.eps}")
     alpha, k = params.alpha, params.k
-    planes = wraparound_planes(cfg.a)
-    rows, cols = _alpha_lines(planes, alpha)
+    rows, cols = _alpha_lines(wraparound_planes(cfg.a), alpha)
 
     # The column case reads the column planes as rows of the transpose.
     use_rows = len(rows) >= len(cols)
-    if use_rows:
-        work = cfg.a.copy()
-        lines = rows
-        line_plane = planes[0]
-    else:
-        work = cfg.a.T.copy()
-        lines = cols
-        line_plane = planes[1].T
-
-    def anchor_col(r: int, parity: int) -> int:
-        """The first position along line r in the parity class."""
-        return int(np.flatnonzero(line_plane[r] == parity)[0])
-
+    work = cfg.a.copy() if use_rows else cfg.a.T.copy()
     m2, n2 = work.shape
 
-    # Step 1.  Same-parity lines at distance 2 would zero each other's cells,
-    # so only the first of each such pair is repaired.
-    kept: list[tuple[int, int]] = []
-    for r, p in sorted(lines):
-        if any(cyclic_distance(r, r2, m2) == 2 and p2 == p for r2, p2 in kept):
-            continue
-        kept.append((r, p))
-    step1_changed = np.zeros(work.shape, dtype=bool)
-    for r, p in kept:
-        step1_changed |= _fix_row_inplace(work, r, anchor_col(r, p))
-    w_rows: list[int] = []
-    for r, p in kept:
-        pattern = np.arange(n2) % 2 == p
-        nb_rows = [q % m2 for q in (r - 1, r + 1) if q % m2 != r]
-        if (work[r] == pattern).all() and not work[nb_rows].any():
-            w_rows.append(r)
+    # Step 1.
+    w_rows, step1_changed = _repair_lines(work, rows if use_rows else cols)
     step1 = int(step1_changed.sum())
 
     # Step 2.

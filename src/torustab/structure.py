@@ -65,7 +65,10 @@ class Rect:
     """A torus rectangle given by cyclic coordinate intervals.
 
     `row0`/`col0` are the interval starts; `height`/`width` their lengths.
-    A full-cycle projection is stored as starting at 0 with full length.
+    A full-cycle projection may start anywhere: the components' rectangles
+    start it at 0 (`_starts`), but `tester.cross_region` starts it where its
+    arm stopped, so code comparing rectangles normalises it first
+    (`stabilizer._canon_key`, `stabilizer._rect_contains`).
     """
 
     m: int

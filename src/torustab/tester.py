@@ -458,27 +458,20 @@ def _first_wrap_pair(
     return None if hit.size == 0 else (int(hit[0]), int(partner[hit[0]]))
 
 
-def _is_mono_cell(view: RectView, cell: Cell) -> bool:
-    if view.read(cell) != 1:
-        return False
-    return any(view.read(nb) == 1 for nb in von_neumann(view.m, view.n, cell))
-
-
-def _is_chess_cell(view: RectView, cell: Cell) -> bool:
+def classify_plus_kind(view: RectView, cell: Cell) -> Optional[str]:
+    """MONO/CHESS kind of a cell in sigma#, or None: MONO for a 1 with a 1
+    among its von Neumann neighbors; CHESS for a cell with four distinct
+    neighbors all of the other state that, if it is a 1, is not Moore
+    isolated."""
     v = view.read(cell)
     nbs = von_neumann(view.m, view.n, cell)
-    if len(nbs) < 4 or any(view.read(nb) == v for nb in nbs):
-        return False
-    return not (v == 1 and _moore_isolated(view.read, view.m, view.n, cell))
-
-
-def classify_plus_kind(view: RectView, cell: Cell) -> Optional[str]:
-    """MONO/CHESS kind of a cell in sigma#, or None."""
-    if _is_mono_cell(view, cell):
+    if v == 1 and any(view.read(nb) == 1 for nb in nbs):
         return MONO
-    if _is_chess_cell(view, cell):
-        return CHESS
-    return None
+    if len(nbs) < 4 or any(view.read(nb) == v for nb in nbs):
+        return None
+    if v == 1 and _moore_isolated(view.read, view.m, view.n, cell):
+        return None
+    return CHESS
 
 
 def cross_region(view: RectView, cell: Cell, k: int, kind: str) -> BoundingBox:

@@ -214,6 +214,16 @@ def stabilizer_fuzz_inputs(seed: int, count: int):
         yield a, eps
 
 
+def noisy_wraparound(rng, m: int, n: int) -> TorusConfig:
+    """Chessboard wraparound rows at random phases, 2 to 8 rows apart, plus
+    sparse noise: inputs on which Step 1 finds and repairs lines."""
+    a = np.zeros((m, n), np.uint8)
+    for r in range(int(rng.integers(m)), m, int(rng.integers(2, 9))):
+        a[r, :] = (np.arange(n) + rng.integers(2)) % 2
+    a ^= (rng.random((m, n)) < 0.02).astype(np.uint8)
+    return TorusConfig(a)
+
+
 def near_w_boxes(rng, m: int, n: int) -> TorusConfig:
     """One chessboard wraparound row and, on each side of it, a mono box, a
     width-1 mono strip or a chessboard box in anti-phase to the row, 2 or 3

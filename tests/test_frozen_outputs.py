@@ -12,8 +12,11 @@ and the compare against the W row that the row rule replaced.  The
 structure families from hard-64-128 on were recorded from the set walk and
 the per-cell peel queue that the torus labels and the frontier peel
 replaced; they hold several failing components per torus, so the set order
-that picks the witness is pinned above 8x8.  The exhaustive 4x4 family is
-stored as one sha256 over its rows; every other family row by row.
+that picks the witness is pinned above 8x8.  The compatibility-drops
+families were recorded from the filter that kept each box's planned grid;
+they are seeded runs in which it drops a box, which no other row does.
+The exhaustive 4x4 family is stored as one sha256 over its rows; every
+other family row by row.
 
 Re-record only after an intended output change:
     PYTHONPATH=src python tests/test_frozen_outputs.py
@@ -26,12 +29,12 @@ from pathlib import Path
 
 import numpy as np
 
-from torustab import TorusConfig
+from torustab import THR2, TorusConfig, is_stable, stabilizer
 from torustab.generators import GenSpec, gen_hard_thr2, gen_stable_thr2, perturb
 from torustab.stabilizer import StabilizerParams, stabilize
 from torustab.structure import chess_components, thr2_structure_check
 
-from grid_reference import near_w_boxes
+from grid_reference import near_w_boxes, noisy_wraparound, stabilizer_fuzz_inputs
 
 TABLE = Path(__file__).parent / "data" / "frozen_outputs.json"
 
@@ -92,14 +95,35 @@ def chess_bands(rng, m: int, n: int, count: int) -> TorusConfig:
     return TorusConfig(a)
 
 
-def noisy_wraparound(rng, m: int, n: int) -> TorusConfig:
-    """Chessboard wraparound rows at random phases, 2 to 8 rows apart, plus
-    sparse noise: inputs on which Step 1 finds and repairs lines."""
-    a = np.zeros((m, n), np.uint8)
-    for r in range(int(rng.integers(m)), m, int(rng.integers(2, 9))):
-        a[r, :] = (np.arange(n) + rng.integers(2)) % 2
-    a ^= (rng.random((m, n)) < 0.02).astype(np.uint8)
-    return TorusConfig(a)
+# (seed, index, eps, c1, c2): item `index` of `stabilizer_fuzz_inputs(seed,
+# ...)`, whose eps is `eps`, stabilized with c1 and c2.  In each of these runs
+# Step 3's compatibility filter drops a box whose repair is unstable alone,
+# or unstable beside a close box it already kept; the first 24 per reason
+# found by wrapping `_compatible_boxes` on seeds 1-3.
+DROPS_ALONE = [
+    (1, 101, 1.0, 48, 3), (1, 101, 1.0, 48, 68), (1, 181, 1.0, 48, 3), (1, 181, 1.0, 48, 68),
+    (1, 272, 0.75, 48, 3), (1, 373, 1.0, 48, 3), (1, 373, 1.0, 48, 68), (1, 376, 0.05, 48, 3),
+    (1, 376, 0.05, 48, 68), (1, 659, 0.2, 48, 3), (1, 659, 0.2, 48, 68), (1, 779, 0.2, 48, 3),
+    (1, 779, 0.2, 48, 68), (1, 788, 0.2, 48, 3), (1, 788, 0.2, 48, 68), (1, 828, 1.0, 48, 3),
+    (1, 1159, 0.75, 48, 3), (1, 1159, 0.75, 48, 68), (1, 1699, 0.1, 48, 3), (1, 1699, 0.1, 48, 68),
+    (1, 1769, 0.3, 48, 3), (1, 1769, 0.3, 48, 68), (1, 1925, 0.1, 48, 3), (1, 1925, 0.1, 48, 68),
+]
+DROPS_BESIDE = [
+    (1, 11, 0.3, 48, 3), (1, 11, 0.3, 48, 68), (1, 413, 0.5, 48, 3), (1, 413, 0.5, 48, 68),
+    (1, 454, 0.5, 48, 3), (1, 454, 0.5, 48, 68), (1, 1369, 0.2, 48, 3), (1, 1369, 0.2, 48, 68),
+    (1, 1587, 0.1, 48, 3), (1, 1587, 0.1, 48, 68), (1, 1884, 0.2, 48, 3), (1, 1884, 0.2, 48, 68),
+    (2, 5, 0.75, 48, 3), (2, 5, 0.75, 48, 68), (2, 846, 0.3, 48, 3), (2, 846, 0.3, 48, 68),
+    (2, 1770, 1.0, 48, 3), (2, 1770, 1.0, 48, 68), (3, 21, 0.3, 48, 3), (3, 21, 0.3, 48, 68),
+    (3, 30, 0.05, 48, 3), (3, 30, 0.05, 48, 68), (3, 581, 0.3, 48, 3), (3, 581, 0.3, 48, 68),
+]
+
+
+def fuzz_case(seed: int, index: int, eps: float, c1: int, c2: int) -> tuple:
+    """The stabilize case (configuration, eps, c2, c1) of one drop tuple."""
+    for idx, (a, fuzz_eps) in enumerate(stabilizer_fuzz_inputs(seed, index + 1)):
+        if idx == index:
+            assert fuzz_eps == eps, (seed, index, fuzz_eps, eps)
+            return TorusConfig(a), eps, c2, c1
 
 
 def stable_48(seed: int) -> TorusConfig:
@@ -187,6 +211,8 @@ def stabilize_cases():
     cases = [(cfg, 0.5, 3, c1) for cfg in near for c1 in (4, 6)]
     yield "near-w-boxes-multitile", cases
     yield "near-w-boxes-multitile-transposed", [(TorusConfig(cfg.a.T), *rest) for cfg, *rest in cases]
+    yield "compatibility-drops-alone", [fuzz_case(*t) for t in DROPS_ALONE]
+    yield "compatibility-drops-beside", [fuzz_case(*t) for t in DROPS_BESIDE]
 
 
 def all_4x4_digest() -> str:
@@ -228,6 +254,30 @@ def test_stabilize_rows_unchanged():
         assert len(cases) == len(want[family])
         for idx, (case, row) in enumerate(zip(cases, want[family])):
             assert json.loads(json.dumps(stabilize_row(*case))) == row, (family, idx)
+
+
+def test_drop_families_drop_for_their_reason(monkeypatch):
+    """Each run of the compatibility-drops families still drops a box for
+    its family's reason: a box whose repair alone on an empty torus is
+    unstable, or one whose repair alone is stable."""
+    compatible = stabilizer._compatible_boxes
+    reasons = set()
+
+    def recorded(pairs, view):
+        kept = compatible(pairs, view)
+        for box, _ in pairs:
+            if all(box is not other for other, _ in kept):
+                alone = np.zeros((view.m, view.n), np.uint8)
+                stabilizer._fix_box_inplace(alone, box, view.read(box.anchor))
+                reasons.add("beside" if is_stable(TorusConfig(alone), THR2) else "alone")
+        return kept
+
+    monkeypatch.setattr(stabilizer, "_compatible_boxes", recorded)
+    for reason, drops in (("alone", DROPS_ALONE), ("beside", DROPS_BESIDE)):
+        for t in drops:
+            reasons.clear()
+            stabilize_row(*fuzz_case(*t))
+            assert reason in reasons, (reason, t)
 
 
 def summary(section: str, row) -> str:

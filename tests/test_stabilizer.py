@@ -37,7 +37,13 @@ from torustab.tester import (
     wraparound_planes,
 )
 
-from grid_reference import all_small_tori, near_w_boxes, rect_cells, stabilizer_fuzz_inputs
+from grid_reference import (
+    all_small_tori,
+    near_w_boxes,
+    noisy_wraparound,
+    rect_cells,
+    stabilizer_fuzz_inputs,
+)
 
 
 def alpha_good(view, cell, k, alpha):
@@ -199,6 +205,16 @@ class TestParams:
         with pytest.raises(ValueError):
             StabilizerParams(eps=0.5, c1=2)
 
+    def test_valid_params_give_alpha_at_most_one_third(self):
+        """eps in (0, 1] and c2 >= 3 leave alpha in (0, 1/3], which Step 1's
+        argument that every repaired line joins W rests on."""
+        rng = np.random.default_rng(14)
+        eps_values = [1.0, 0.5, 1e-9, *(1 - rng.random(200))]
+        for eps in eps_values:
+            for c2 in (3, 4, 68, *(int(c) for c in rng.integers(3, 10**6, size=5))):
+                alpha = StabilizerParams(eps=eps, c2=c2).alpha
+                assert 0 < alpha <= 1 / 3, (eps, c2)
+
 
 class TestAlphaWraparoundRows:
     """`_alpha_lines` on the wraparound planes: (index, parity) per line,
@@ -280,9 +296,42 @@ class TestFixWraparoundRow:
             r, c = int(rng.integers(m)), int(rng.integers(n))
             want = a.copy()
             cells = slow_fix_row(want, r, c)
-            changed = _fix_row_inplace(a, r, c)
+            # The anchor's parity class: state-1 cells at even positions is 0.
+            changed = _fix_row_inplace(a, r, (c + 1 - int(a[r, c])) % 2)
             assert np.array_equal(a, want)
             assert set(map(tuple, np.argwhere(changed).tolist())) == cells
+
+    def test_majority_class_of_the_row_plane(self):
+        """The repair takes the parity class that more cells of the row hold
+        in `wraparound_planes`, 0 on a tie.  Ties are built as two half rows
+        of opposite class in a grid symmetric under the mirror j -> n-1-j,
+        which maps each class-0 cell of the row to a class-1 cell."""
+        rng = np.random.default_rng(15)
+        seen = {"tie": 0, "0": 0, "1": 0}
+        for trial in range(600):
+            m, n = int(rng.integers(5, 12)), 2 * int(rng.integers(4, 10))
+            r = int(rng.integers(m))
+            a = (rng.random((m, n)) < rng.uniform(0, 0.1)).astype(np.uint8)
+            if trial % 2 == 0:
+                a[:, n // 2 :] = a[:, : n // 2][:, ::-1]
+                a[r] = (np.arange(n) + (np.arange(n) >= n // 2) + 1) % 2
+                a[r, rng.integers(n // 2, size=int(rng.integers(0, 2)))] ^= 1
+                a[r, n // 2 :] = a[r, : n // 2][::-1]
+            else:
+                a[r] = (np.arange(n) + rng.integers(2)) % 2
+                a[r, rng.integers(n, size=int(rng.integers(0, 3)))] ^= 1
+            plane = wraparound_planes(a)[0][r]
+            count0, count1 = int((plane == 0).sum()), int((plane == 1).sum())
+            if count0 + count1 == 0:
+                continue
+            parity = 0 if count0 >= count1 else 1
+            seen["tie" if count0 == count1 else str(parity)] += 1
+            out, count = fix_wraparound_row(TorusConfig(a), r)
+            want = a.copy()
+            cells = slow_fix_row(want, r, int(np.flatnonzero(plane == parity)[0]))
+            assert (out.a[r] == (np.arange(n) + parity + 1) % 2).all(), (a.tolist(), r)
+            assert (out.a == want).all() and count == len(cells), (a.tolist(), r)
+        assert min(seen.values()) >= 50, seen
 
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):
@@ -479,6 +528,36 @@ class TestNearWInvariants:
                     out, _ = stabilize(cfg, eps, StabilizerParams(eps=eps, c1=c1, c2=3))
                     assert is_stable(out, THR2)
         assert len(calls) >= 100
+
+
+class TestWInvariants:
+    def test_w_lines_exact_beside_zero_lines(self, monkeypatch):
+        """Every line Step 1 repairs joins W: when Step 2 receives W, each of
+        its lines alternates exactly and its neighbor lines are all 0, on the
+        seeded fuzz inputs and on noisy wraparound rows, both axes, at c2 3
+        (alpha up to 1/3) and 68."""
+        rectangulate = torustab.stabilizer.rectangulate_exempt
+        lines = []
+
+        def checked(a, k, w_rows):
+            m = a.shape[0]
+            for r in w_rows:
+                assert (a[r] != np.roll(a[r], 1)).all(), (a.tolist(), r)
+                assert not a[[q % m for q in (r - 1, r + 1) if q % m != r]].any(), (a.tolist(), r)
+                lines.append(r)
+            return rectangulate(a, k, w_rows)
+
+        monkeypatch.setattr(torustab.stabilizer, "rectangulate_exempt", checked)
+        cases = list(stabilizer_fuzz_inputs(4, 600))
+        rng = np.random.default_rng(16)
+        for _ in range(40):
+            a = noisy_wraparound(rng, int(rng.integers(8, 33)), 2 * int(rng.integers(4, 17))).a
+            cases += [(a, eps) for eps in (0.5, 1.0)] + [(a.T, eps) for eps in (0.5, 1.0)]
+        for a, eps in cases:
+            for c2 in (3, 68):
+                out, _ = stabilize(TorusConfig(a), eps, StabilizerParams(eps=eps, c2=c2))
+                assert is_stable(out, THR2)
+        assert len(lines) >= 100, len(lines)
 
 
 class TestStabilize:
